@@ -1,18 +1,16 @@
-"""Setup shim.
+"""Packaging for the EASE reproduction (``src/`` layout, no extras).
 
-The project is configured through ``pyproject.toml``; this file exists so the
-package can be installed in editable mode on environments without the
-``wheel`` package (``pip install -e . --no-use-pep517``).
-
-The ``compiled`` extra pulls in numba for the optional compiled kernel tier
-(:mod:`repro._compiled`): ``pip install -e .[compiled]``.  Without it the
-package behaves identically on the pure-numpy kernels.
+``pip install -e .`` installs the ``repro`` package and the ``repro``
+console command; ``PYTHONPATH=src`` works without installing.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
 setup(
-    extras_require={
-        "compiled": ["numba"],
-    },
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+    entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -388,8 +388,7 @@ def _command_properties(args: argparse.Namespace) -> int:
         store = ArtifactStore(args.cache_dir)
     properties = compute_properties_batch(
         graphs, exact_triangles=args.exact_triangles, seed=args.seed,
-        use_engine=not args.no_engine, store=store, mode=args.mode,
-        wedge_budget=args.wedge_budget)
+        store=store, mode=args.mode, wedge_budget=args.wedge_budget)
     os.makedirs(args.output, exist_ok=True)
     for graph, props in zip(graphs, properties):
         path = os.path.join(args.output, f"{graph.name}.properties.json")
@@ -847,10 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="content-addressed artifact cache shared "
                                  "with profile runs; already-extracted "
                                  "graphs are restored instead of recomputed")
-    properties.add_argument("--no-engine", action="store_true",
-                            help="use the seed per-vertex loops instead of "
-                                 "the vectorized engine (results are "
-                                 "identical; for comparison only)")
     properties.add_argument("--mode", choices=("exact", "approximate"),
                             default="exact",
                             help="'approximate' replaces triangle/clustering "

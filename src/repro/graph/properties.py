@@ -9,15 +9,14 @@ The properties computed here form the feature sets of the EASE predictors
 * ``advanced`` — basic + mean number of triangles and mean local clustering
   coefficient.
 
-Triangle and clustering computation dispatches to the block-vectorized
-property engine (:mod:`repro.graph.property_engine`) by default; the seed
-per-vertex loops are kept behind ``use_engine=False`` and the two paths are
-asserted array-identical by the test suite, mirroring the partitioning
-kernels design.  :func:`compute_properties` shares the degree arrays and the
-cached simple CSR across all properties of one pass, accepts an optional
-artifact ``store`` for content-addressed memoization, and
-:func:`compute_properties_batch` extracts a whole corpus in one engine
-invocation.
+Triangle and clustering computation runs on the block-vectorized property
+engine (:mod:`repro.graph.property_engine`); the seed per-vertex loops live
+in ``tests/reference/`` and the test suite asserts the two array-identical,
+mirroring the partitioning kernels design.  :func:`compute_properties`
+shares the degree arrays and the cached simple CSR across all properties of
+one pass, accepts an optional artifact ``store`` for content-addressed
+memoization, and :func:`compute_properties_batch` extracts a whole corpus in
+one engine invocation.
 """
 
 from __future__ import annotations
@@ -86,52 +85,17 @@ def pearson_skewness(values: np.ndarray) -> float:
     return float((values.mean() - mode) / std)
 
 
-def _undirected_neighbor_sets(graph: Graph):
-    """Sorted, deduplicated undirected neighbour array per vertex."""
-    adj = graph.undirected_adjacency()
-    neighbor_sets = []
-    for v in range(graph.num_vertices):
-        neigh = adj.neighbors(v)
-        neigh = np.unique(neigh)
-        neigh = neigh[neigh != v]
-        neighbor_sets.append(neigh)
-    return neighbor_sets
-
-
-def triangle_counts(graph: Graph, use_engine: bool = True,
-                    use_compiled: Optional[bool] = None) -> np.ndarray:
+def triangle_counts(graph: Graph) -> np.ndarray:
     """Number of triangles incident to each vertex (undirected view).
 
     A triangle is a set of three vertices that are pairwise connected,
-    ignoring edge direction and multiplicity.  ``use_engine=False`` runs the
-    seed per-vertex loop instead of the block-vectorized engine; both return
-    identical (exact, integer) counts.  ``use_compiled`` overrides the
-    compiled kernel tier of the engine path (``None`` defers to
-    ``REPRO_COMPILED``); counts are identical on every tier.
+    ignoring edge direction and multiplicity.  Counts are exact integers.
     """
-    if use_engine:
-        return triangle_counts_engine(graph, use_compiled=use_compiled)
-    neighbor_sets = _undirected_neighbor_sets(graph)
-    counts = np.zeros(graph.num_vertices, dtype=np.int64)
-    for v in range(graph.num_vertices):
-        neigh_v = neighbor_sets[v]
-        # Only count each triangle once per vertex pair by restricting to
-        # higher-id neighbours, then attribute it to all three members below.
-        for u in neigh_v[neigh_v > v]:
-            common = np.intersect1d(neigh_v, neighbor_sets[u],
-                                    assume_unique=True)
-            common = common[common > u]
-            if common.size:
-                counts[v] += common.size
-                counts[u] += common.size
-                counts[common] += 1
-    return counts
+    return triangle_counts_engine(graph)
 
 
 def local_clustering_coefficients(graph: Graph,
-                                  triangles: np.ndarray = None,
-                                  use_engine: bool = True,
-                                  use_compiled: Optional[bool] = None
+                                  triangles: np.ndarray = None
                                   ) -> np.ndarray:
     """Local clustering coefficient ``t(v) / (0.5 * deg(v) * (deg(v) - 1))``.
 
@@ -139,17 +103,8 @@ def local_clustering_coefficients(graph: Graph,
     a coefficient of zero.
     """
     if triangles is None:
-        triangles = triangle_counts(graph, use_engine=use_engine,
-                                    use_compiled=use_compiled)
-    if use_engine:
-        return local_clustering_from_triangles(graph, triangles)
-    neighbor_sets = _undirected_neighbor_sets(graph)
-    degs = np.array([len(n) for n in neighbor_sets], dtype=np.float64)
-    denom = 0.5 * degs * (degs - 1.0)
-    coeffs = np.zeros(graph.num_vertices, dtype=np.float64)
-    mask = denom > 0
-    coeffs[mask] = triangles[mask] / denom[mask]
-    return coeffs
+        triangles = triangle_counts(graph)
+    return local_clustering_from_triangles(graph, triangles)
 
 
 @dataclass
@@ -257,10 +212,8 @@ def _observe_extraction(mode: str, elapsed: float) -> None:
 
 def compute_properties(graph: Graph, exact_triangles: bool = True,
                        sample_size: int = DEFAULT_SAMPLE_SIZE,
-                       seed: int = 0, use_engine: bool = True,
-                       store=None, mode: str = "exact",
-                       wedge_budget: Optional[int] = None,
-                       use_compiled: Optional[bool] = None
+                       seed: int = 0, store=None, mode: str = "exact",
+                       wedge_budget: Optional[int] = None
                        ) -> GraphProperties:
     """Compute all graph properties of Section II-B in a single pass.
 
@@ -277,11 +230,6 @@ def compute_properties(graph: Graph, exact_triangles: bool = True,
         Number of vertices sampled when ``exact_triangles`` is False.
     seed:
         Random seed for the vertex sample.
-    use_engine:
-        Dispatch triangle/clustering work to the block-vectorized property
-        engine (default).  ``False`` runs the seed per-vertex loops; results
-        are identical either way (exact path: array-identical counts;
-        sampled path: bit-identical estimates for the same seed).
     store:
         Optional :class:`~repro.runtime.artifacts.ArtifactStore` (or any
         object with ``get(key)``/``put(key, value)``).  Properties are
@@ -301,10 +249,6 @@ def compute_properties(graph: Graph, exact_triangles: bool = True,
         Wedge-sample cap of approximate mode (``None`` uses
         :data:`repro.graph.sketches.DEFAULT_WEDGE_BUDGET`).  Ignored in
         exact mode.
-    use_compiled:
-        Per-call override of the compiled kernel tier for triangle
-        counting; ``None`` defers to ``REPRO_COMPILED``.  Results are
-        identical on every tier.
     """
     if mode not in ("exact", "approximate"):
         raise ValueError(f"unknown properties mode: {mode!r}")
@@ -323,8 +267,7 @@ def compute_properties(graph: Graph, exact_triangles: bool = True,
         started = time.perf_counter()
         properties, _ = approximate_properties(graph,
                                                wedge_budget=wedge_budget,
-                                               seed=seed,
-                                               use_compiled=use_compiled)
+                                               seed=seed)
         _observe_extraction("approximate", time.perf_counter() - started)
         if key is not None:
             store.put(key, properties)
@@ -348,17 +291,13 @@ def compute_properties(graph: Graph, exact_triangles: bool = True,
     in_deg = graph.in_degrees()
     out_deg = graph.out_degrees()
     if exact_triangles or graph.num_vertices <= sample_size:
-        triangles = triangle_counts(graph, use_engine=use_engine,
-                                    use_compiled=use_compiled)
-        lcc = local_clustering_coefficients(graph, triangles,
-                                            use_engine=use_engine)
+        triangles = triangle_counts(graph)
+        lcc = local_clustering_coefficients(graph, triangles)
         mean_tri = float(triangles.mean())
         mean_lcc = float(lcc.mean())
-    elif use_engine:
-        mean_tri, mean_lcc = sampled_triangle_stats_engine(
-            graph, sample_size, seed, use_compiled=use_compiled)
     else:
-        mean_tri, mean_lcc = _sampled_triangle_stats(graph, sample_size, seed)
+        mean_tri, mean_lcc = sampled_triangle_stats_engine(
+            graph, sample_size, seed)
 
     num_vertices = graph.num_vertices
     num_edges = graph.num_edges
@@ -384,10 +323,8 @@ def compute_properties(graph: Graph, exact_triangles: bool = True,
 def compute_properties_batch(graphs: Sequence[Graph],
                              exact_triangles: bool = True,
                              sample_size: int = DEFAULT_SAMPLE_SIZE,
-                             seed: int = 0, use_engine: bool = True,
-                             store=None, mode: str = "exact",
-                             wedge_budget: Optional[int] = None,
-                             use_compiled: Optional[bool] = None
+                             seed: int = 0, store=None, mode: str = "exact",
+                             wedge_budget: Optional[int] = None
                              ) -> List[GraphProperties]:
     """Properties of a whole corpus in one content-deduplicated call.
 
@@ -408,40 +345,9 @@ def compute_properties_batch(graphs: Sequence[Graph],
         if properties is None:
             properties = compute_properties(
                 graph, exact_triangles=exact_triangles,
-                sample_size=sample_size, seed=seed, use_engine=use_engine,
-                store=store, mode=mode, wedge_budget=wedge_budget,
-                use_compiled=use_compiled)
+                sample_size=sample_size, seed=seed, store=store, mode=mode,
+                wedge_budget=wedge_budget)
             by_fingerprint[fingerprint] = properties
         results[position] = properties
     return results
 
-
-def _sampled_triangle_stats(graph: Graph, sample_size: int,
-                            seed: int) -> tuple:
-    """Estimate mean triangles and mean LCC from a uniform vertex sample."""
-    rng = np.random.default_rng(seed)
-    sample = rng.choice(graph.num_vertices, size=sample_size, replace=False)
-    adj = graph.undirected_adjacency()
-    neighbor_sets = {}
-
-    def neighbors_of(v: int) -> np.ndarray:
-        if v not in neighbor_sets:
-            neigh = np.unique(adj.neighbors(v))
-            neighbor_sets[v] = neigh[neigh != v]
-        return neighbor_sets[v]
-
-    tri_sum = 0.0
-    lcc_sum = 0.0
-    for v in sample:
-        neigh_v = neighbors_of(int(v))
-        deg = neigh_v.size
-        if deg < 2:
-            continue
-        tri = 0
-        for u in neigh_v:
-            tri += np.intersect1d(neigh_v, neighbors_of(int(u)),
-                                  assume_unique=True).size
-        tri /= 2  # each triangle counted for two neighbours
-        tri_sum += tri
-        lcc_sum += tri / (0.5 * deg * (deg - 1))
-    return tri_sum / sample_size, lcc_sum / sample_size

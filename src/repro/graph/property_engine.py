@@ -15,9 +15,8 @@ block-vectorized kernels that produce **array-identical** results:
   flat index arrays and closed by a ``searchsorted`` membership join against
   the packed oriented edge keys — no per-vertex Python iteration.  Hits
   attribute one triangle to each of ``a``, ``b`` and ``c`` via ``bincount``.
-* :func:`sampled_triangle_stats_engine` — the sampled estimator of
-  :func:`repro.graph.properties._sampled_triangle_stats`.  The seeded vertex
-  sample and the sequential float accumulation of the seed path are
+* :func:`sampled_triangle_stats_engine` — the sampled estimator.  The seeded
+  vertex sample and the sequential float accumulation of the seed path are
   preserved exactly (bit-identical estimates); only the per-vertex triangle
   counting underneath is vectorized, as a wedge join restricted to the
   sampled vertices' incident edges.
@@ -25,25 +24,18 @@ block-vectorized kernels that produce **array-identical** results:
 Wedges are materialized in bounded blocks (:data:`DEFAULT_BLOCK_PAIRS`
 endpoint pairs at a time, boundaries found by ``searchsorted`` on the
 cumulative pair counts), so peak memory stays a few flat arrays regardless
-of graph size — mirroring the partitioning-kernels design, including the
-``use_engine=False`` escape hatch kept by :mod:`repro.graph.properties`.
+of graph size — mirroring the partitioning-kernels design.  The seed loops
+live on as test oracles in ``tests/reference/``, against which the test
+suite asserts array-identical results.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .graph import Graph
-
-
-def _compiled_kernels(use_compiled: Optional[bool]):
-    """The compiled kernel module when the tier is enabled, else ``None``."""
-    from .. import _compiled
-    if _compiled.compiled_enabled(use_compiled):
-        return _compiled.load_kernels()
-    return None
 
 __all__ = [
     "DEFAULT_BLOCK_PAIRS",
@@ -116,18 +108,13 @@ def _oriented_pair_count(graph: Graph) -> int:
 
 
 def triangle_counts_engine(graph: Graph,
-                           block_pairs: int = DEFAULT_BLOCK_PAIRS,
-                           use_compiled: Optional[bool] = None
+                           block_pairs: int = DEFAULT_BLOCK_PAIRS
                            ) -> np.ndarray:
     """Exact per-vertex triangle counts, block-vectorized.
 
-    Array-identical to the seed loop implementation
-    (``repro.graph.properties.triangle_counts(..., use_engine=False)``):
-    counts are exact integers, so no floating-point subtleties arise.
-    With the compiled tier enabled (``use_compiled``/``REPRO_COMPILED``) the
-    wedge join is replaced by a per-apex merge-intersection over the oriented
-    CSR (:func:`repro._compiled.kernels.oriented_triangle_join`) — same
-    counts, no O(wedges) temporaries.
+    Array-identical to the seed set-intersection loop
+    (``tests/reference``): counts are exact integers, so no floating-point
+    subtleties arise.
     """
     num_vertices = graph.num_vertices
     counts = np.zeros(num_vertices, dtype=np.int64)
@@ -152,14 +139,6 @@ def triangle_counts_engine(graph: Graph,
     out_heads = edge_keys // num_vertices
     out_tails = edge_keys % num_vertices
     out_degrees = np.bincount(out_heads, minlength=num_vertices)
-
-    compiled = _compiled_kernels(use_compiled)
-    if compiled is not None:
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(out_degrees, out=indptr[1:])
-        tri_by_rank = compiled.oriented_triangle_join(
-            indptr, np.ascontiguousarray(out_tails), num_vertices)
-        return tri_by_rank[rank]
 
     tri_by_rank = np.zeros(num_vertices, dtype=np.int64)
     pair_counts = np.repeat(out_degrees, out_degrees) - 1 - (
@@ -205,8 +184,7 @@ def local_clustering_from_triangles(graph: Graph,
 
 
 def sampled_triangle_stats_engine(graph: Graph, sample_size: int, seed: int,
-                                  block_pairs: int = DEFAULT_BLOCK_PAIRS,
-                                  use_compiled: Optional[bool] = None
+                                  block_pairs: int = DEFAULT_BLOCK_PAIRS
                                   ) -> Tuple[float, float]:
     """Sampled mean-triangles / mean-LCC estimates, engine-backed.
 
@@ -233,8 +211,7 @@ def sampled_triangle_stats_engine(graph: Graph, sample_size: int, seed: int,
         # wedges despite covering every vertex.  Both produce the exact
         # per-vertex triangle counts, so the estimate is identical; only the
         # enumeration cost differs.
-        tri_of = triangle_counts_engine(graph, block_pairs,
-                                        use_compiled=use_compiled)
+        tri_of = triangle_counts_engine(graph, block_pairs)
     elif total_positions:
         run_starts = np.cumsum(sample_degrees) - sample_degrees
         positions = (np.arange(total_positions, dtype=np.int64)

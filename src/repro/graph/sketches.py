@@ -33,17 +33,17 @@ closure checks — distribution-free, so the bounds hold on any graph.
 
 When the graph is small enough that the exact engine would enumerate no
 more wedge pairs than the budget allows, the estimators simply run it
-(:func:`~repro.graph.property_engine.triangle_counts_engine`, compiled tier
-eligible) and return exact values with zero-width intervals — approximate
-mode then never does *more* work than the budget, and never does worse than
-exact on graphs where exact is already cheap.
+(:func:`~repro.graph.property_engine.triangle_counts_engine`) and return
+exact values with zero-width intervals — approximate mode then never does
+*more* work than the budget, and never does worse than exact on graphs where
+exact is already cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -172,13 +172,13 @@ class ApproximateTriangleStats:
 
 
 def _exact_stats(graph: Graph, total_wedges: int, wedge_budget: int,
-                 wedges_used: int, seed: int, confidence: float,
-                 use_compiled: Optional[bool]) -> ApproximateTriangleStats:
+                 wedges_used: int, seed: int,
+                 confidence: float) -> ApproximateTriangleStats:
     """Exact values wrapped as zero-width estimates (budget not exhausted)."""
     if graph.num_vertices == 0:
         tri_mean = lcc_mean = global_cc = 0.0
     else:
-        counts = triangle_counts_engine(graph, use_compiled=use_compiled)
+        counts = triangle_counts_engine(graph)
         lcc = local_clustering_from_triangles(graph, counts)
         tri_mean = float(counts.mean())
         lcc_mean = float(lcc.mean())
@@ -200,8 +200,7 @@ def _exact_stats(graph: Graph, total_wedges: int, wedge_budget: int,
 def approximate_triangle_stats(graph: Graph,
                                wedge_budget: int = DEFAULT_WEDGE_BUDGET,
                                seed: int = 0,
-                               confidence: float = DEFAULT_CONFIDENCE,
-                               use_compiled: Optional[bool] = None
+                               confidence: float = DEFAULT_CONFIDENCE
                                ) -> ApproximateTriangleStats:
     """Estimate triangle statistics with at most ``wedge_budget`` closure checks.
 
@@ -214,21 +213,19 @@ def approximate_triangle_stats(graph: Graph,
 
     num_vertices = graph.num_vertices
     if num_vertices == 0:
-        return _exact_stats(graph, 0, wedge_budget, 0, seed, confidence,
-                            use_compiled)
+        return _exact_stats(graph, 0, wedge_budget, 0, seed, confidence)
 
     csr = graph.undirected_simple_csr()
     degrees = np.diff(csr.indptr)
     wedge_counts = (degrees * (degrees - 1)) // 2
     total_wedges = int(wedge_counts.sum())
     if total_wedges == 0:
-        return _exact_stats(graph, 0, wedge_budget, 0, seed, confidence,
-                            use_compiled)
+        return _exact_stats(graph, 0, wedge_budget, 0, seed, confidence)
 
     exact_pairs = _oriented_pair_count(graph)
     if exact_pairs <= wedge_budget:
         return _exact_stats(graph, total_wedges, wedge_budget, exact_pairs,
-                            seed, confidence, use_compiled)
+                            seed, confidence)
 
     rng = np.random.default_rng(seed)
     global_samples = wedge_budget // 2
@@ -294,8 +291,7 @@ def approximate_triangle_stats(graph: Graph,
 def approximate_properties(graph: Graph,
                            wedge_budget: int = DEFAULT_WEDGE_BUDGET,
                            seed: int = 0,
-                           confidence: float = DEFAULT_CONFIDENCE,
-                           use_compiled: Optional[bool] = None
+                           confidence: float = DEFAULT_CONFIDENCE
                            ) -> Tuple[GraphProperties,
                                       ApproximateTriangleStats]:
     """Full property bundle with bounded-work triangle statistics.
@@ -307,8 +303,7 @@ def approximate_properties(graph: Graph,
     surface as extraction info (error bounds, budget exhaustion).
     """
     stats = approximate_triangle_stats(graph, wedge_budget=wedge_budget,
-                                       seed=seed, confidence=confidence,
-                                       use_compiled=use_compiled)
+                                       seed=seed, confidence=confidence)
     num_vertices = graph.num_vertices
     num_edges = graph.num_edges
     if num_vertices == 0:

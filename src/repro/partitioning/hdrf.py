@@ -11,15 +11,9 @@ steers edges toward under-loaded partitions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph import Graph
 from .base import EdgePartition, EdgePartitioner, PartitionerCategory
-from .kernels import (
-    hdrf_kernel_assign,
-    replication_balance_scores,
-    use_replica_bitmask,
-)
+from .kernels import hdrf_kernel_assign
 
 __all__ = ["HDRFPartitioner"]
 
@@ -35,106 +29,17 @@ class HDRFPartitioner(EdgePartitioner):
         replication factor).
     seed:
         Used to shuffle tie-breaking order deterministically.
-    use_kernel:
-        Use the blocked scoring kernel (:mod:`.kernels`).  The kernel produces
-        assignments identical to the sequential loop; ``False`` is the escape
-        hatch that keeps the original per-edge formulation.
-    use_compiled:
-        Per-instance override of the compiled kernel tier
-        (:mod:`repro._compiled`): ``True``/``False`` force it on/off,
-        ``None`` (default) defers to the ``REPRO_COMPILED`` environment
-        flag.  Without numba installed the numpy kernel always runs;
-        assignments are identical on every tier.
     """
 
     name = "hdrf"
     category = PartitionerCategory.STATEFUL_STREAMING
 
-    def __init__(self, balance_weight: float = 1.0, seed: int = 0,
-                 use_kernel: bool = True,
-                 use_compiled: bool = None) -> None:
+    def __init__(self, balance_weight: float = 1.0, seed: int = 0) -> None:
         super().__init__(seed=seed)
         self.balance_weight = balance_weight
-        self.use_kernel = use_kernel
-        self.use_compiled = use_compiled
 
     def partition(self, graph: Graph, num_partitions: int) -> EdgePartition:
-        if self.use_kernel:
-            assignment = hdrf_kernel_assign(graph.src, graph.dst,
-                                            graph.num_vertices, num_partitions,
-                                            self.balance_weight,
-                                            use_compiled=self.use_compiled)
-        else:
-            assignment = self._partition_loop(graph, num_partitions)
+        assignment = hdrf_kernel_assign(graph.src, graph.dst,
+                                        graph.num_vertices, num_partitions,
+                                        self.balance_weight)
         return EdgePartition(graph, num_partitions, assignment, self.name)
-
-    # ------------------------------------------------------------------ #
-    def _partition_loop(self, graph: Graph, num_partitions: int) -> np.ndarray:
-        """Sequential per-edge formulation (the kernel's reference)."""
-        k = num_partitions
-        num_vertices = graph.num_vertices
-        partial_degree = np.zeros(num_vertices, dtype=np.int64)
-        # replicas[v] is a bitmask of partitions holding v; falls back to a
-        # boolean matrix when k exceeds the shared bitmask cutoff.
-        use_bitmask = use_replica_bitmask(k)
-        if use_bitmask:
-            replica_mask = np.zeros(num_vertices, dtype=np.int64)
-        else:
-            replica_matrix = np.zeros((num_vertices, k), dtype=bool)
-        partition_sizes = np.zeros(k, dtype=np.int64)
-        assignment = np.empty(graph.num_edges, dtype=np.int64)
-        epsilon = 1.0
-
-        # Running extrema of partition_sizes.  Sizes only ever grow by one,
-        # so the maximum updates trivially and the minimum advances exactly
-        # when the last partition at the current minimum gains an edge; a
-        # size histogram keeps that check O(1) instead of an O(k) scan per
-        # edge.
-        max_size = 0
-        min_size = 0
-        size_counts = {0: k}
-
-        partition_ids = np.arange(k)
-        for edge_id in range(graph.num_edges):
-            u = int(graph.src[edge_id])
-            v = int(graph.dst[edge_id])
-            partial_degree[u] += 1
-            partial_degree[v] += 1
-            deg_u = partial_degree[u]
-            deg_v = partial_degree[v]
-            total = deg_u + deg_v
-            theta_u = deg_u / total
-            theta_v = deg_v / total
-
-            if use_bitmask:
-                in_p_u = (replica_mask[u] >> partition_ids) & 1
-                in_p_v = (replica_mask[v] >> partition_ids) & 1
-            else:
-                in_p_u = replica_matrix[u]
-                in_p_v = replica_matrix[v]
-
-            scores = replication_balance_scores(
-                in_p_u, in_p_v, 1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v),
-                partition_sizes, max_size, min_size, self.balance_weight,
-                epsilon)
-            best = int(np.argmax(scores))
-
-            assignment[edge_id] = best
-            old_size = int(partition_sizes[best])
-            new_size = old_size + 1
-            partition_sizes[best] = new_size
-            size_counts[old_size] -= 1
-            size_counts[new_size] = size_counts.get(new_size, 0) + 1
-            if new_size > max_size:
-                max_size = new_size
-            if old_size == min_size and size_counts[old_size] == 0:
-                del size_counts[old_size]
-                min_size = new_size
-            if use_bitmask:
-                replica_mask[u] |= np.int64(1) << np.int64(best)
-                replica_mask[v] |= np.int64(1) << np.int64(best)
-            else:
-                replica_matrix[u, best] = True
-                replica_matrix[v, best] = True
-
-        return assignment

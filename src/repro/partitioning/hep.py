@@ -19,11 +19,7 @@ import numpy as np
 
 from ..graph import Graph
 from .base import EdgePartition, EdgePartitioner, PartitionerCategory
-from .kernels import (
-    hep_kernel_stream,
-    replication_balance_scores,
-    use_replica_bitmask,
-)
+from .kernels import hep_kernel_stream
 from .ne import _ExpansionAllocator
 
 __all__ = ["HybridEdgePartitioner"]
@@ -40,29 +36,17 @@ class HybridEdgePartitioner(EdgePartitioner):
         exceeds ``tau * mean_degree``.
     balance_slack:
         Capacity factor α used by both phases.
-    use_kernel:
-        Use the blocked scoring kernel (:mod:`.kernels`) for the streaming
-        phase.  The kernel produces assignments identical to the sequential
-        loop; ``False`` is the escape hatch that keeps the original per-edge
-        formulation.
-    use_compiled:
-        Per-instance override of the compiled kernel tier
-        (:mod:`repro._compiled`) for the streaming phase; ``None`` defers
-        to ``REPRO_COMPILED``.  Assignments are identical on every tier.
     """
 
     category = PartitionerCategory.HYBRID
 
     def __init__(self, tau: float = 10.0, balance_slack: float = 1.05,
-                 seed: int = 0, use_kernel: bool = True,
-                 use_compiled: bool = None) -> None:
+                 seed: int = 0) -> None:
         super().__init__(seed=seed)
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = tau
         self.balance_slack = balance_slack
-        self.use_kernel = use_kernel
-        self.use_compiled = use_compiled
         self.name = f"hep{int(tau)}" if float(tau).is_integer() else f"hep{tau}"
 
     # ------------------------------------------------------------------ #
@@ -85,68 +69,7 @@ class HybridEdgePartitioner(EdgePartitioner):
 
         if streamed_edges.size:
             capacity = self.balance_slack * graph.num_edges / k
-            if self.use_kernel:
-                hep_kernel_stream(graph.src, graph.dst, degrees, k,
-                                  assignment, streamed_edges, capacity,
-                                  use_compiled=self.use_compiled)
-            else:
-                self._stream_remaining(graph, k, assignment, streamed_edges,
-                                       capacity)
+            hep_kernel_stream(graph.src, graph.dst, degrees, k,
+                              assignment, streamed_edges, capacity)
 
         return EdgePartition(graph, k, assignment, self.name)
-
-    # ------------------------------------------------------------------ #
-    def _stream_remaining(self, graph: Graph, k: int, assignment: np.ndarray,
-                          streamed_edges: np.ndarray,
-                          capacity: float) -> None:
-        """HDRF-style streaming of the high-degree edges, seeded with the
-        replication state of the in-memory phase (the kernel's reference)."""
-        partition_sizes = np.bincount(assignment[assignment >= 0], minlength=k)
-
-        use_bitmask = use_replica_bitmask(k)
-        assigned = np.flatnonzero(assignment >= 0)
-        if use_bitmask:
-            replica_mask = np.zeros(graph.num_vertices, dtype=np.int64)
-            if assigned.size:
-                bits = np.int64(1) << assignment[assigned]
-                np.bitwise_or.at(replica_mask, graph.src[assigned], bits)
-                np.bitwise_or.at(replica_mask, graph.dst[assigned], bits)
-        else:
-            replica_matrix = np.zeros((graph.num_vertices, k), dtype=bool)
-            if assigned.size:
-                partitions = assignment[assigned]
-                replica_matrix[graph.src[assigned], partitions] = True
-                replica_matrix[graph.dst[assigned], partitions] = True
-
-        degrees = graph.degrees()
-        partition_ids = np.arange(k)
-        epsilon = 1.0
-        for edge_id in streamed_edges:
-            u = int(graph.src[edge_id])
-            v = int(graph.dst[edge_id])
-            deg_u, deg_v = int(degrees[u]), int(degrees[v])
-            total = max(deg_u + deg_v, 1)
-            theta_u = deg_u / total
-            theta_v = deg_v / total
-            if use_bitmask:
-                in_p_u = (replica_mask[u] >> partition_ids) & 1
-                in_p_v = (replica_mask[v] >> partition_ids) & 1
-            else:
-                in_p_u = replica_matrix[u]
-                in_p_v = replica_matrix[v]
-            scores = replication_balance_scores(
-                in_p_u, in_p_v, 1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v),
-                partition_sizes, partition_sizes.max(), partition_sizes.min(),
-                1.0, epsilon)
-            over_capacity = partition_sizes >= capacity
-            if not over_capacity.all():
-                scores = np.where(over_capacity, -np.inf, scores)
-            best = int(np.argmax(scores))
-            assignment[edge_id] = best
-            partition_sizes[best] += 1
-            if use_bitmask:
-                replica_mask[u] |= np.int64(1) << np.int64(best)
-                replica_mask[v] |= np.int64(1) << np.int64(best)
-            else:
-                replica_matrix[u, best] = True
-                replica_matrix[v, best] = True

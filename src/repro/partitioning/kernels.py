@@ -25,9 +25,9 @@ numpy blocks:
 Exact equality with the sequential loops holds because every floating-point
 value is computed with the same elementwise operations in the same order as
 the loop implementations, and ties are broken with the same
-first-lowest-index rule as ``np.argmax``.  The partitioners keep the loop
-implementations behind a ``use_kernel=False`` escape hatch, and the test
-suite asserts byte-identical assignments between the two paths.
+first-lowest-index rule as ``np.argmax``.  The loop implementations live on
+as test oracles in ``tests/reference/``, and the test suite asserts
+byte-identical assignments between each kernel and its loop.
 """
 
 from __future__ import annotations
@@ -52,24 +52,6 @@ __all__ = [
     "hep_kernel_stream",
 ]
 
-
-def _compiled_kernels(use_compiled: Optional[bool]):
-    """The compiled kernel module when the feature flag resolves on.
-
-    Returns ``None`` — and the caller runs the numpy path — whenever the
-    compiled tier is disabled (default), explicitly switched off, or numba
-    is not importable.  See :mod:`repro._compiled`.
-    """
-    from .. import _compiled
-
-    if _compiled.compiled_enabled(use_compiled):
-        return _compiled.load_kernels()
-    return None
-
-
-def _as_int64(array: np.ndarray) -> np.ndarray:
-    """Contiguous int64 view/copy of an edge-endpoint array (memmap-safe)."""
-    return np.ascontiguousarray(array, dtype=np.int64)
 
 #: Largest ``k`` for which per-vertex replica sets fit an ``int64`` bitmask.
 #: Shifting an int64 by >= 64 silently yields 0 in numpy, so a read or write
@@ -512,29 +494,13 @@ def _observe_kernel_rate(kernel: str, num_edges: int, elapsed: float) -> None:
 def hdrf_kernel_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
                        num_partitions: int, balance_weight: float,
                        epsilon: float = 1.0,
-                       block_size: int = DEFAULT_BLOCK_SIZE,
-                       use_compiled: Optional[bool] = None) -> np.ndarray:
-    """HDRF assignment, identical to the sequential loop.
-
-    With the compiled tier enabled (``use_compiled=True`` or
-    ``REPRO_COMPILED=1`` with numba installed) the whole streaming loop runs
-    as one fused native pass; the numpy state machine below is the default
-    and the reference, and results are identical either way.
-    """
+                       block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+    """HDRF assignment, identical to the sequential loop."""
     started = time.perf_counter()
     num_edges = src.shape[0]
     assignment = np.empty(num_edges, dtype=np.int64)
     deg_u, deg_v = streaming_partial_degrees(src, dst)
     coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="hdrf")
-    compiled = _compiled_kernels(use_compiled)
-    if compiled is not None:
-        assignment = compiled.streaming_assign(
-            _as_int64(src), _as_int64(dst), coeff_u, coeff_v,
-            num_vertices, num_partitions, float(balance_weight),
-            float(epsilon))
-        _observe_kernel_rate("hdrf", num_edges,
-                             time.perf_counter() - started)
-        return assignment
     state = StreamingScoreState(num_vertices, num_partitions,
                                 balance_weight=balance_weight, epsilon=epsilon)
     place = state.place
@@ -552,32 +518,20 @@ def two_ps_kernel_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
                          num_partitions: int, preferred: np.ndarray,
                          capacity: float, balance_weight: float,
                          epsilon: float = 1.0,
-                         block_size: int = DEFAULT_BLOCK_SIZE,
-                         use_compiled: Optional[bool] = None) -> np.ndarray:
+                         block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
     """2PS partitioning phase, identical to the (fixed) sequential loop.
 
     ``preferred`` maps every vertex to the partition of its cluster.  Edges
     whose cluster partitions have room take the fast path; the rest are
     scored with the shared HDRF-style state.  When every partition is at
     capacity the edge goes to the least-loaded partition (the
-    capacity-overflow fix, mirrored in the loop implementation).  The
-    compiled tier (when enabled and importable) fuses the whole phase into
-    one native pass with identical results.
+    capacity-overflow fix, mirrored in the loop implementation).
     """
     started = time.perf_counter()
     num_edges = src.shape[0]
     assignment = np.empty(num_edges, dtype=np.int64)
     deg_u, deg_v = streaming_partial_degrees(src, dst)
     coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="2ps")
-    compiled = _compiled_kernels(use_compiled)
-    if compiled is not None:
-        assignment = compiled.two_ps_assign(
-            _as_int64(src), _as_int64(dst), deg_u, deg_v, coeff_u, coeff_v,
-            _as_int64(preferred), num_vertices, num_partitions,
-            float(capacity), float(balance_weight), float(epsilon))
-        _observe_kernel_rate("2ps", num_edges,
-                             time.perf_counter() - started)
-        return assignment
     state = StreamingScoreState(num_vertices, num_partitions,
                                 balance_weight=balance_weight,
                                 epsilon=epsilon, capacity=capacity)
@@ -615,8 +569,7 @@ def two_ps_kernel_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
 def hep_kernel_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
                       num_partitions: int, assignment: np.ndarray,
                       streamed_edges: np.ndarray, capacity: float,
-                      block_size: int = DEFAULT_BLOCK_SIZE,
-                      use_compiled: Optional[bool] = None) -> None:
+                      block_size: int = DEFAULT_BLOCK_SIZE) -> None:
     """HEP streaming phase, identical to the sequential loop.
 
     Mutates ``assignment`` in place for the ``streamed_edges``, seeding the
@@ -624,8 +577,7 @@ def hep_kernel_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
     HEP scores with the full static degrees and, unlike 2PS, drops the
     capacity mask entirely when every partition is at capacity (the loop's
     behaviour), which is why the overflow path recomputes the raw score
-    vector.  The compiled tier (when enabled and importable) streams the
-    same seeded state through one fused native pass with identical results.
+    vector.
     """
     started = time.perf_counter()
     num_streamed = streamed_edges.shape[0]
@@ -633,24 +585,6 @@ def hep_kernel_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
     deg_u = degrees[src[streamed_edges]]
     deg_v = degrees[dst[streamed_edges]]
     coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="hep")
-    compiled = _compiled_kernels(use_compiled)
-    if compiled is not None:
-        assigned = np.flatnonzero(assignment >= 0)
-        seed_sizes = np.bincount(assignment[assigned],
-                                 minlength=num_partitions).astype(np.int64)
-        seed_replicas = np.zeros((num_vertices, num_partitions),
-                                 dtype=np.uint8)
-        if assigned.size:
-            partitions = assignment[assigned]
-            seed_replicas[src[assigned], partitions] = 1
-            seed_replicas[dst[assigned], partitions] = 1
-        compiled.hep_stream(
-            _as_int64(src), _as_int64(dst), _as_int64(streamed_edges),
-            coeff_u, coeff_v, seed_sizes, seed_replicas, assignment,
-            num_partitions, 1.0, 1.0, float(capacity))
-        _observe_kernel_rate("hep", num_streamed,
-                             time.perf_counter() - started)
-        return
     state = StreamingScoreState(num_vertices, num_partitions,
                                 balance_weight=1.0, capacity=capacity)
     assigned = np.flatnonzero(assignment >= 0)

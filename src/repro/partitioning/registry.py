@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 #: Factory per partitioner name.  Each factory takes a seed (plus optional
-#: partitioner-specific keyword overrides, e.g. ``use_kernel=False`` for the
-#: stateful streaming partitioners) and returns a fresh partitioner instance.
+#: partitioner-specific keyword overrides, e.g. ``balance_weight=5.0`` for
+#: HDRF) and returns a fresh partitioner instance.
 PARTITIONER_FACTORIES: Dict[str, Callable[..., EdgePartitioner]] = {
     "1dd": lambda seed=0, **kw: OneDimDestinationPartitioner(seed=seed, **kw),
     "1ds": lambda seed=0, **kw: OneDimSourcePartitioner(seed=seed, **kw),
@@ -64,8 +64,8 @@ def create_partitioner(name: str, seed: int = 0,
     """Instantiate a partitioner by registry name.
 
     ``overrides`` are forwarded to the partitioner constructor (e.g.
-    ``use_kernel=False`` to select the sequential-loop escape hatch of the
-    stateful streaming partitioners).
+    ``balance_weight`` for HDRF and 2PS, ``balance_slack`` for 2PS, NE and
+    HEP); a keyword the constructor does not take raises ``TypeError``.
     """
     try:
         factory = PARTITIONER_FACTORIES[name]

@@ -21,11 +21,7 @@ import numpy as np
 
 from ..graph import Graph
 from .base import EdgePartition, EdgePartitioner, PartitionerCategory
-from .kernels import (
-    replication_balance_scores,
-    two_ps_kernel_assign,
-    use_replica_bitmask,
-)
+from .kernels import two_ps_kernel_assign
 
 __all__ = ["TwoPhaseStreamingPartitioner"]
 
@@ -40,35 +36,24 @@ class TwoPhaseStreamingPartitioner(EdgePartitioner):
         ``alpha * |E| / k`` edges).
     balance_weight:
         Weight of the balance term in the fallback scoring.
-    use_kernel:
-        Use the blocked scoring kernel (:mod:`.kernels`).  The kernel produces
-        assignments identical to the sequential loop; ``False`` is the escape
-        hatch that keeps the original per-edge formulation.
-    use_compiled:
-        Per-instance override of the compiled kernel tier
-        (:mod:`repro._compiled`); ``None`` defers to ``REPRO_COMPILED``.
-        Assignments are identical on every tier.
     """
 
     name = "2ps"
     category = PartitionerCategory.STATEFUL_STREAMING
 
     def __init__(self, balance_slack: float = 1.05, balance_weight: float = 1.0,
-                 seed: int = 0, use_kernel: bool = True,
-                 use_compiled: bool = None) -> None:
+                 seed: int = 0) -> None:
         super().__init__(seed=seed)
         self.balance_slack = balance_slack
         self.balance_weight = balance_weight
-        self.use_kernel = use_kernel
-        self.use_compiled = use_compiled
 
     # ------------------------------------------------------------------ #
     def _clustering_phase(self, graph: Graph, capacity: float) -> np.ndarray:
         """Streaming clustering: merge endpoints toward the larger cluster.
 
-        Shared by the kernel and loop paths: the arithmetic is on Python
-        scalars (unboxed lists) for speed, which produces the same IEEE-754
-        sequence as the original numpy-scalar formulation.
+        The arithmetic is on Python scalars (unboxed lists) for speed,
+        which produces the same IEEE-754 sequence as the original
+        numpy-scalar formulation.
         """
         num_vertices = graph.num_vertices
         cluster_of = list(range(num_vertices))
@@ -124,81 +109,7 @@ class TwoPhaseStreamingPartitioner(EdgePartitioner):
         cluster_partition = self._pack_clusters(cluster_of, degrees, k)
         preferred = cluster_partition[cluster_of]
 
-        if self.use_kernel:
-            assignment = two_ps_kernel_assign(
-                graph.src, graph.dst, graph.num_vertices, k, preferred,
-                capacity, self.balance_weight,
-                use_compiled=self.use_compiled)
-        else:
-            assignment = self._assign_loop(graph, k, preferred, capacity)
+        assignment = two_ps_kernel_assign(
+            graph.src, graph.dst, graph.num_vertices, k, preferred,
+            capacity, self.balance_weight)
         return EdgePartition(graph, k, assignment, self.name)
-
-    # ------------------------------------------------------------------ #
-    def _assign_loop(self, graph: Graph, k: int, preferred: np.ndarray,
-                     capacity: float) -> np.ndarray:
-        """Sequential per-edge formulation (the kernel's reference)."""
-        num_edges = graph.num_edges
-        assignment = np.empty(num_edges, dtype=np.int64)
-        partition_sizes = np.zeros(k, dtype=np.int64)
-        use_bitmask = use_replica_bitmask(k)
-        if use_bitmask:
-            replica_mask = np.zeros(graph.num_vertices, dtype=np.int64)
-        else:
-            replica_matrix = np.zeros((graph.num_vertices, k), dtype=bool)
-        partial_degree = np.zeros(graph.num_vertices, dtype=np.int64)
-        partition_ids = np.arange(k)
-        epsilon = 1.0
-
-        for edge_id in range(num_edges):
-            u = int(graph.src[edge_id])
-            v = int(graph.dst[edge_id])
-            pu, pv = int(preferred[u]), int(preferred[v])
-            partial_degree[u] += 1
-            partial_degree[v] += 1
-
-            chosen = -1
-            if pu == pv and partition_sizes[pu] < capacity:
-                chosen = pu
-            else:
-                # Prefer whichever endpoint's cluster partition still has room,
-                # choosing the one holding the lower-degree endpoint first.
-                candidates = [pu, pv] if partial_degree[u] <= partial_degree[v] else [pv, pu]
-                for candidate in candidates:
-                    if partition_sizes[candidate] < capacity:
-                        chosen = candidate
-                        break
-            if chosen < 0:
-                # HDRF-style fallback: replication score + balance score.
-                deg_u, deg_v = partial_degree[u], partial_degree[v]
-                theta_u = deg_u / (deg_u + deg_v)
-                theta_v = 1.0 - theta_u
-                if use_bitmask:
-                    in_p_u = (replica_mask[u] >> partition_ids) & 1
-                    in_p_v = (replica_mask[v] >> partition_ids) & 1
-                else:
-                    in_p_u = replica_matrix[u]
-                    in_p_v = replica_matrix[v]
-                scores = replication_balance_scores(
-                    in_p_u, in_p_v, 1.0 + (1.0 - theta_u),
-                    1.0 + (1.0 - theta_v), partition_sizes,
-                    partition_sizes.max(), partition_sizes.min(),
-                    self.balance_weight, epsilon)
-                scores[partition_sizes >= capacity] = -np.inf
-                if np.isneginf(scores).all():
-                    # Every partition is at capacity: place the edge on the
-                    # least-loaded partition instead of letting the argmax of
-                    # an all--inf vector silently overflow partition 0.
-                    chosen = int(np.argmin(partition_sizes))
-                else:
-                    chosen = int(np.argmax(scores))
-
-            assignment[edge_id] = chosen
-            partition_sizes[chosen] += 1
-            if use_bitmask:
-                replica_mask[u] |= np.int64(1) << np.int64(chosen)
-                replica_mask[v] |= np.int64(1) << np.int64(chosen)
-            else:
-                replica_matrix[u, chosen] = True
-                replica_matrix[v, chosen] = True
-
-        return assignment

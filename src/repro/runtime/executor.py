@@ -168,8 +168,8 @@ class ProfileRunStats:
 def save_checkpoint(path: str, payloads: Dict[Any, Any]) -> None:
     """Atomically persist completed task payloads for later resumption.
 
-    Writes the version-3 journal format (length-prefixed, checksummed
-    frames); incremental runs append frames instead via
+    Writes the journal format (length-prefixed, checksummed frames);
+    incremental runs append frames instead via
     :class:`~repro.runtime.journal.CheckpointJournal`.
     """
     CheckpointJournal(path).rewrite(payloads)
@@ -179,10 +179,8 @@ def load_checkpoint(path: str) -> Dict[Any, Any]:
     """Load a checkpoint written by :func:`save_checkpoint` (or ``{}``).
 
     Journal files with a torn tail (crash or injected fault mid-append)
-    are repaired in place, keeping every intact frame.  Legacy version-2
-    whole-pickle checkpoints load transparently; unreadable files and
-    other formats (e.g. the unit-granular checkpoints of PR 1) are
-    ignored, not errors.
+    are repaired in place, keeping every intact frame.  Unreadable files
+    and files that are not journals are ignored, not errors.
     """
     return CheckpointJournal(path).load()
 

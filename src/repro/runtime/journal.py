@@ -1,9 +1,7 @@
 """Crash-tolerant checkpoint journal: length-prefixed, checksummed frames.
 
-The version-2 checkpoint was a whole-dict pickle rewritten atomically on
-every flush — safe against torn writes but O(checkpoint) per flush and
-unable to *append*.  The journal keeps the same logical content (a dict of
-``task_id -> payload``) as an append-only sequence of frames::
+The journal holds a dict of ``task_id -> payload`` as an append-only
+sequence of frames, so a flush costs O(new tasks), not O(checkpoint)::
 
     RPJL1\\n                                  magic (6 bytes)
     [u32 length][u32 crc32][pickle((key, value))]   frame, repeated
@@ -12,8 +10,9 @@ Each frame is one completed task.  A crash (or injected ``torn`` fault)
 mid-append leaves a torn tail: :meth:`load` reads every intact frame,
 truncates the tail away (so later appends extend a clean file) and logs a
 warning — a torn tail costs at most ``checkpoint_every`` tasks, never the
-checkpoint.  Legacy version-2 whole-pickle checkpoints load transparently
-and are upgraded to the journal format on the next :meth:`rewrite`.
+checkpoint.  A file at the journal path that does not start with the magic
+is not a journal: it loads as ``{}`` (with a warning) and the next
+:meth:`append` replaces it atomically instead of extending it.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ class CheckpointJournal:
 
     ``load()`` returns the journal's content as a dict (repairing any torn
     tail in place); ``append(items)`` adds newly completed payloads;
-    ``rewrite(items)`` compacts the whole journal atomically (also the
-    upgrade path from legacy version-2 checkpoints).
+    ``rewrite(items)`` compacts the whole journal atomically.
     """
 
     def __init__(self, path: str) -> None:
@@ -64,7 +62,9 @@ class CheckpointJournal:
             with open(self.path, "rb") as handle:
                 head = handle.read(len(JOURNAL_MAGIC))
                 if head != JOURNAL_MAGIC:
-                    return self._load_legacy()
+                    self._logger.warning("checkpoint_not_a_journal",
+                                         path=self.path)
+                    return {}
                 payloads: Dict[Any, Any] = {}
                 offset = len(JOURNAL_MAGIC)
                 while True:
@@ -101,34 +101,19 @@ class CheckpointJournal:
             "checkpoint_torn_tail_truncated", path=self.path,
             torn_bytes=size - good_offset, kept_bytes=good_offset)
 
-    def _load_legacy(self) -> Dict[Any, Any]:
-        """Load a version-2 whole-pickle checkpoint (or ``{}``)."""
-        try:
-            with open(self.path, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:
-            return {}
-        if (not isinstance(payload, dict)
-                or payload.get("kind") != "profile_checkpoint"
-                or payload.get("format_version") != 2):
-            return {}
-        return dict(payload.get("payloads", {}))
-
     # ------------------------------------------------------------------ #
     def append(self, items: Dict[Any, Any]) -> None:
         """Append one frame per item (creating the journal if needed).
 
-        A legacy (version-2) file is compacted to journal format first so
-        the appended frames are not lost behind a whole-pickle prefix.
+        A file without the journal magic is replaced atomically, so frames
+        are never lost behind a foreign prefix.
         """
         if not items:
             return
         if os.path.exists(self.path):
             with open(self.path, "rb") as handle:
                 if handle.read(len(JOURNAL_MAGIC)) != JOURNAL_MAGIC:
-                    merged = self._load_legacy()
-                    merged.update(items)
-                    self.rewrite(merged)
+                    self.rewrite(items)
                     return
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)

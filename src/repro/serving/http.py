@@ -21,19 +21,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
+from .core import MAX_BODY_BYTES, BadRequest, RequestCore, Response
 from .registry import ModelRegistry
 from .router import ModelRouter
 from .service import SelectionService
-# Re-exported for backward compatibility: these lived here before the
-# request core was split out, and callers import them from this module.
-from .core import (  # noqa: F401
-    MAX_BODY_BYTES,
-    BadRequest,
-    RequestCore,
-    Response,
-    parse_graph_payload,
-    parse_job_payload,
-)
 
 __all__ = ["SelectionHTTPServer"]
 

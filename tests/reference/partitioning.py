@@ -1,0 +1,218 @@
+"""Sequential per-edge formulations of the HDRF-style streaming partitioners.
+
+These are the seed loops the kernels in :mod:`repro.partitioning.kernels`
+replaced: every edge is scored against every partition with a dozen numpy
+calls.  They take the same arrays as the kernel they check, so a test can
+call either side with one argument list (or swap one for the other inside a
+partitioner).
+"""
+
+import numpy as np
+
+from repro.partitioning.kernels import (
+    replication_balance_scores,
+    use_replica_bitmask,
+)
+
+
+def hdrf_loop_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
+                     num_partitions: int,
+                     balance_weight: float) -> np.ndarray:
+    """Sequential per-edge formulation (the kernel's reference)."""
+    k = num_partitions
+    num_edges = src.shape[0]
+    partial_degree = np.zeros(num_vertices, dtype=np.int64)
+    # replicas[v] is a bitmask of partitions holding v; falls back to a
+    # boolean matrix when k exceeds the shared bitmask cutoff.
+    use_bitmask = use_replica_bitmask(k)
+    if use_bitmask:
+        replica_mask = np.zeros(num_vertices, dtype=np.int64)
+    else:
+        replica_matrix = np.zeros((num_vertices, k), dtype=bool)
+    partition_sizes = np.zeros(k, dtype=np.int64)
+    assignment = np.empty(num_edges, dtype=np.int64)
+    epsilon = 1.0
+
+    # Running extrema of partition_sizes.  Sizes only ever grow by one,
+    # so the maximum updates trivially and the minimum advances exactly
+    # when the last partition at the current minimum gains an edge; a
+    # size histogram keeps that check O(1) instead of an O(k) scan per
+    # edge.
+    max_size = 0
+    min_size = 0
+    size_counts = {0: k}
+
+    partition_ids = np.arange(k)
+    for edge_id in range(num_edges):
+        u = int(src[edge_id])
+        v = int(dst[edge_id])
+        partial_degree[u] += 1
+        partial_degree[v] += 1
+        deg_u = partial_degree[u]
+        deg_v = partial_degree[v]
+        total = deg_u + deg_v
+        theta_u = deg_u / total
+        theta_v = deg_v / total
+
+        if use_bitmask:
+            in_p_u = (replica_mask[u] >> partition_ids) & 1
+            in_p_v = (replica_mask[v] >> partition_ids) & 1
+        else:
+            in_p_u = replica_matrix[u]
+            in_p_v = replica_matrix[v]
+
+        scores = replication_balance_scores(
+            in_p_u, in_p_v, 1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v),
+            partition_sizes, max_size, min_size, balance_weight,
+            epsilon)
+        best = int(np.argmax(scores))
+
+        assignment[edge_id] = best
+        old_size = int(partition_sizes[best])
+        new_size = old_size + 1
+        partition_sizes[best] = new_size
+        size_counts[old_size] -= 1
+        size_counts[new_size] = size_counts.get(new_size, 0) + 1
+        if new_size > max_size:
+            max_size = new_size
+        if old_size == min_size and size_counts[old_size] == 0:
+            del size_counts[old_size]
+            min_size = new_size
+        if use_bitmask:
+            replica_mask[u] |= np.int64(1) << np.int64(best)
+            replica_mask[v] |= np.int64(1) << np.int64(best)
+        else:
+            replica_matrix[u, best] = True
+            replica_matrix[v, best] = True
+
+    return assignment
+
+
+def two_ps_loop_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
+                       num_partitions: int, preferred: np.ndarray,
+                       capacity: float,
+                       balance_weight: float) -> np.ndarray:
+    """Sequential per-edge formulation (the kernel's reference)."""
+    k = num_partitions
+    num_edges = src.shape[0]
+    assignment = np.empty(num_edges, dtype=np.int64)
+    partition_sizes = np.zeros(k, dtype=np.int64)
+    use_bitmask = use_replica_bitmask(k)
+    if use_bitmask:
+        replica_mask = np.zeros(num_vertices, dtype=np.int64)
+    else:
+        replica_matrix = np.zeros((num_vertices, k), dtype=bool)
+    partial_degree = np.zeros(num_vertices, dtype=np.int64)
+    partition_ids = np.arange(k)
+    epsilon = 1.0
+
+    for edge_id in range(num_edges):
+        u = int(src[edge_id])
+        v = int(dst[edge_id])
+        pu, pv = int(preferred[u]), int(preferred[v])
+        partial_degree[u] += 1
+        partial_degree[v] += 1
+
+        chosen = -1
+        if pu == pv and partition_sizes[pu] < capacity:
+            chosen = pu
+        else:
+            # Prefer whichever endpoint's cluster partition still has room,
+            # choosing the one holding the lower-degree endpoint first.
+            candidates = [pu, pv] if partial_degree[u] <= partial_degree[v] else [pv, pu]
+            for candidate in candidates:
+                if partition_sizes[candidate] < capacity:
+                    chosen = candidate
+                    break
+        if chosen < 0:
+            # HDRF-style fallback: replication score + balance score.
+            deg_u, deg_v = partial_degree[u], partial_degree[v]
+            theta_u = deg_u / (deg_u + deg_v)
+            theta_v = 1.0 - theta_u
+            if use_bitmask:
+                in_p_u = (replica_mask[u] >> partition_ids) & 1
+                in_p_v = (replica_mask[v] >> partition_ids) & 1
+            else:
+                in_p_u = replica_matrix[u]
+                in_p_v = replica_matrix[v]
+            scores = replication_balance_scores(
+                in_p_u, in_p_v, 1.0 + (1.0 - theta_u),
+                1.0 + (1.0 - theta_v), partition_sizes,
+                partition_sizes.max(), partition_sizes.min(),
+                balance_weight, epsilon)
+            scores[partition_sizes >= capacity] = -np.inf
+            if np.isneginf(scores).all():
+                # Every partition is at capacity: place the edge on the
+                # least-loaded partition instead of letting the argmax of
+                # an all--inf vector silently overflow partition 0.
+                chosen = int(np.argmin(partition_sizes))
+            else:
+                chosen = int(np.argmax(scores))
+
+        assignment[edge_id] = chosen
+        partition_sizes[chosen] += 1
+        if use_bitmask:
+            replica_mask[u] |= np.int64(1) << np.int64(chosen)
+            replica_mask[v] |= np.int64(1) << np.int64(chosen)
+        else:
+            replica_matrix[u, chosen] = True
+            replica_matrix[v, chosen] = True
+
+    return assignment
+
+
+def hep_loop_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
+                    num_partitions: int, assignment: np.ndarray,
+                    streamed_edges: np.ndarray, capacity: float) -> None:
+    """HDRF-style streaming of the high-degree edges, seeded with the
+    replication state of the in-memory phase (the kernel's reference)."""
+    k = num_partitions
+    num_vertices = degrees.shape[0]
+    partition_sizes = np.bincount(assignment[assignment >= 0], minlength=k)
+
+    use_bitmask = use_replica_bitmask(k)
+    assigned = np.flatnonzero(assignment >= 0)
+    if use_bitmask:
+        replica_mask = np.zeros(num_vertices, dtype=np.int64)
+        if assigned.size:
+            bits = np.int64(1) << assignment[assigned]
+            np.bitwise_or.at(replica_mask, src[assigned], bits)
+            np.bitwise_or.at(replica_mask, dst[assigned], bits)
+    else:
+        replica_matrix = np.zeros((num_vertices, k), dtype=bool)
+        if assigned.size:
+            partitions = assignment[assigned]
+            replica_matrix[src[assigned], partitions] = True
+            replica_matrix[dst[assigned], partitions] = True
+
+    partition_ids = np.arange(k)
+    epsilon = 1.0
+    for edge_id in streamed_edges:
+        u = int(src[edge_id])
+        v = int(dst[edge_id])
+        deg_u, deg_v = int(degrees[u]), int(degrees[v])
+        total = max(deg_u + deg_v, 1)
+        theta_u = deg_u / total
+        theta_v = deg_v / total
+        if use_bitmask:
+            in_p_u = (replica_mask[u] >> partition_ids) & 1
+            in_p_v = (replica_mask[v] >> partition_ids) & 1
+        else:
+            in_p_u = replica_matrix[u]
+            in_p_v = replica_matrix[v]
+        scores = replication_balance_scores(
+            in_p_u, in_p_v, 1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v),
+            partition_sizes, partition_sizes.max(), partition_sizes.min(),
+            1.0, epsilon)
+        over_capacity = partition_sizes >= capacity
+        if not over_capacity.all():
+            scores = np.where(over_capacity, -np.inf, scores)
+        best = int(np.argmax(scores))
+        assignment[edge_id] = best
+        partition_sizes[best] += 1
+        if use_bitmask:
+            replica_mask[u] |= np.int64(1) << np.int64(best)
+            replica_mask[v] |= np.int64(1) << np.int64(best)
+        else:
+            replica_matrix[u, best] = True
+            replica_matrix[v, best] = True

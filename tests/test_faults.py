@@ -7,8 +7,8 @@ The contracts under test:
   ``*`` specs fire on every matching hit, and key filters scope faults to
   matching call sites;
 * the checkpoint journal survives torn appends: every intact frame loads,
-  the torn tail is truncated in place, and legacy version-2 checkpoints
-  load and upgrade transparently;
+  the torn tail is truncated in place, and a file that is not a journal
+  is replaced, never extended;
 * corrupt artifact files are treated as cache misses (deleted, recomputed)
   instead of crashing the run;
 * the scheduler retries transient task failures to a record-identical
@@ -54,6 +54,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends import InlineBackend, _claim_next
 from repro.runtime.executor import load_checkpoint, save_checkpoint
+from repro.runtime.journal import JOURNAL_MAGIC
 
 PARTITIONERS = ("2d", "dbh")
 
@@ -295,17 +296,26 @@ class TestCheckpointJournal:
         journal.append({"d": 4})
         assert journal.load() == {**loaded, "d": 4}
 
-    def test_legacy_v2_checkpoint_loads_and_upgrades(self, tmp_path):
+    def test_foreign_file_loads_empty_and_is_replaced_by_append(
+            self, tmp_path, capsys):
         path = str(tmp_path / "cp.pkl")
+        foreign = pickle.dumps({"kind": "profile_checkpoint",
+                                "format_version": 2,
+                                "payloads": {"old": 42}})
         with open(path, "wb") as handle:
-            pickle.dump({"kind": "profile_checkpoint", "format_version": 2,
-                         "payloads": {"old": 42}}, handle)
+            handle.write(foreign)
         journal = CheckpointJournal(path)
-        assert journal.load() == {"old": 42}
+        assert journal.load() == {}
+        assert "checkpoint_not_a_journal" in capsys.readouterr().out
+        with open(path, "rb") as handle:
+            assert handle.read() == foreign  # load never touches it
         journal.append({"new": 43})
         with open(path, "rb") as handle:
-            assert handle.read(6) == b"RPJL1\n"  # upgraded in place
-        assert journal.load() == {"old": 42, "new": 43}
+            content = handle.read()
+        assert content.startswith(JOURNAL_MAGIC)  # replaced, not extended
+        assert foreign not in content
+        assert journal.load() == {"new": 43}
+        assert os.listdir(tmp_path) == ["cp.pkl"]  # no temp file left
 
     def test_save_load_checkpoint_wrappers(self, tmp_path):
         path = str(tmp_path / "cp.journal")

@@ -366,7 +366,7 @@ class TestServingByFingerprint:
             service.resolve_graph("f" * 20)
 
     def test_parse_payload_fingerprint(self):
-        from repro.serving.http import BadRequest, parse_graph_payload
+        from repro.serving.core import BadRequest, parse_graph_payload
 
         sentinel = _sample_graph()
         resolved = parse_graph_payload({"graph_fingerprint": "abc"},

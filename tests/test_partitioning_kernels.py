@@ -1,21 +1,26 @@
 """Tests for the streaming-partitioner scoring kernels (`repro.partitioning.kernels`).
 
 The kernel layer must be *assignment-for-assignment identical* to the
-sequential loop implementations it accelerates, including the 2PS bug fixes
-that apply to both paths: the boolean-matrix replica fallback for k > 63 and
-the least-loaded placement when every partition is at capacity.
+sequential loop implementations it replaced (kept as oracles in
+``tests/reference``), including the 2PS bug fixes that apply to both sides:
+the boolean-matrix replica fallback for k > 63 and the least-loaded placement
+when every partition is at capacity.  The full partitioner × k × graph table
+lives in ``test_reference_oracle.py``; this module holds the randomized
+equality tests, the regression tests and the kernel unit tests.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import reference_loops
 from repro.generators import generate_rmat
 from repro.graph import Graph
 from repro.partitioning import (
     BITMASK_MAX_PARTITIONS,
     HDRFPartitioner,
-    HybridEdgePartitioner,
     StreamingScoreState,
     TwoPhaseStreamingPartitioner,
     create_partitioner,
@@ -26,27 +31,24 @@ from repro.partitioning import (
 from repro.partitioning import kernels
 
 
-#: k grid from the issue: both sides of the bitmask cutoff plus a large k.
+#: Both sides of the bitmask cutoff plus a large k.
 KERNEL_K_GRID = (2, 8, 63, 64, 100)
 
+#: Which implementation a both-sides regression test runs: the production
+#: kernel, or the reference loop swapped in underneath the same partitioner.
+PATHS = {"kernel": contextlib.nullcontext, "reference": reference_loops}
 
-def _assert_paths_identical(partitioner_factory, graph, k):
-    kernel = partitioner_factory(use_kernel=True)(graph, k).assignment
-    loop = partitioner_factory(use_kernel=False)(graph, k).assignment
+
+def _assert_paths_identical(partitioner, graph, k):
+    kernel = partitioner(graph, k).assignment
+    with reference_loops():
+        loop = partitioner(graph, k).assignment
     np.testing.assert_array_equal(kernel, loop)
     return kernel
 
 
 class TestKernelLoopEquality:
-    """Kernel and loop paths must agree bit-for-bit."""
-
-    @pytest.mark.parametrize("name", ("hdrf", "2ps", "hep1", "hep10"))
-    @pytest.mark.parametrize("k", KERNEL_K_GRID)
-    def test_registry_partitioners_identical(self, name, k):
-        graph = generate_rmat(128, 900, seed=3)
-        kernel = create_partitioner(name, use_kernel=True)(graph, k)
-        loop = create_partitioner(name, use_kernel=False)(graph, k)
-        np.testing.assert_array_equal(kernel.assignment, loop.assignment)
+    """Kernel and reference loop must agree bit-for-bit."""
 
     @given(seed=st.integers(0, 100), k=st.sampled_from(KERNEL_K_GRID),
            balance_weight=st.sampled_from([1.0, 5.0]))
@@ -54,9 +56,7 @@ class TestKernelLoopEquality:
     def test_hdrf_property_identical(self, seed, k, balance_weight):
         graph = generate_rmat(96, 500, seed=seed)
         _assert_paths_identical(
-            lambda use_kernel: HDRFPartitioner(
-                balance_weight=balance_weight, use_kernel=use_kernel),
-            graph, k)
+            HDRFPartitioner(balance_weight=balance_weight), graph, k)
 
     @given(seed=st.integers(0, 100), k=st.sampled_from(KERNEL_K_GRID),
            balance_weight=st.sampled_from([1.0, 5.0]))
@@ -64,8 +64,7 @@ class TestKernelLoopEquality:
     def test_2ps_property_identical(self, seed, k, balance_weight):
         graph = generate_rmat(96, 500, seed=seed)
         _assert_paths_identical(
-            lambda use_kernel: TwoPhaseStreamingPartitioner(
-                balance_weight=balance_weight, use_kernel=use_kernel),
+            TwoPhaseStreamingPartitioner(balance_weight=balance_weight),
             graph, k)
 
     @given(seed=st.integers(0, 50), k=st.sampled_from((2, 8, 64)))
@@ -75,24 +74,25 @@ class TestKernelLoopEquality:
         # overflow policy of both paths is exercised and must agree.
         graph = generate_rmat(96, 500, seed=seed)
         _assert_paths_identical(
-            lambda use_kernel: TwoPhaseStreamingPartitioner(
-                balance_slack=0.5, use_kernel=use_kernel),
-            graph, k)
+            TwoPhaseStreamingPartitioner(balance_slack=0.5), graph, k)
 
-    @pytest.mark.parametrize("use_kernel", (True, False))
-    def test_degenerate_graphs(self, use_kernel):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_degenerate_graphs(self, path):
         for graph in (Graph.empty(num_vertices=4),
                       Graph.from_edges([(0, 0), (1, 1), (0, 1)]),
                       Graph.from_edges([(0, 1)] * 12)):
             for name in ("hdrf", "2ps", "hep10"):
-                partition = create_partitioner(name, use_kernel=use_kernel)(
-                    graph, 3)
+                with PATHS[path]():
+                    partition = create_partitioner(name)(graph, 3)
                 assert partition.assignment.shape[0] == graph.num_edges
 
-    def test_escape_hatch_via_registry(self):
-        assert create_partitioner("hdrf").use_kernel is True
-        assert create_partitioner("hdrf", use_kernel=False).use_kernel is False
-        assert create_partitioner("2ps", use_kernel=False).use_kernel is False
+    def test_registry_forwards_tuning_but_no_implementation_switch(self):
+        assert create_partitioner("hdrf",
+                                  balance_weight=5.0).balance_weight == 5.0
+        assert create_partitioner("2ps",
+                                  balance_slack=1.2).balance_slack == 1.2
+        with pytest.raises(TypeError):
+            create_partitioner("hdrf", use_kernel=False)
 
 
 class TestTwoPSLargeKRegression:
@@ -101,12 +101,13 @@ class TestTwoPSLargeKRegression:
 
     def test_k64_fallback_uses_replication_score(self, monkeypatch):
         # Simulate the pre-fix behaviour (replication term silently zero for
-        # k > 63) by blanking the membership vectors; the fixed partitioner
-        # must produce a different assignment on a fallback-heavy stream.
+        # k > 63) by blanking the membership vectors of the reference loop;
+        # the production kernel must produce a different assignment on a
+        # fallback-heavy stream.
         graph = generate_rmat(96, 900, seed=11)
         k = 64
-        fixed = TwoPhaseStreamingPartitioner(balance_slack=1.01,
-                                             use_kernel=False)(graph, k)
+        partitioner = TwoPhaseStreamingPartitioner(balance_slack=1.01)
+        fixed = partitioner(graph, k)
 
         original = kernels.replication_balance_scores
 
@@ -114,10 +115,10 @@ class TestTwoPSLargeKRegression:
             return original(np.zeros_like(np.asarray(in_p_u)),
                             np.zeros_like(np.asarray(in_p_v)), *args, **kwargs)
 
-        monkeypatch.setattr("repro.partitioning.two_ps."
+        monkeypatch.setattr("reference.partitioning."
                             "replication_balance_scores", replication_blind)
-        blind = TwoPhaseStreamingPartitioner(balance_slack=1.01,
-                                             use_kernel=False)(graph, k)
+        with reference_loops():
+            blind = partitioner(graph, k)
         assert not np.array_equal(fixed.assignment, blind.assignment), (
             "replica fallback at k=64 had no effect on a fallback-heavy "
             "stream; the k > 63 read path is degenerating to balance-only "
@@ -127,11 +128,8 @@ class TestTwoPSLargeKRegression:
         # With working replica tracking the fallback should co-locate edges
         # of already-replicated vertices; kernel and loop must agree on it.
         graph = generate_rmat(96, 900, seed=13)
-        kernel = TwoPhaseStreamingPartitioner(balance_slack=1.01,
-                                              use_kernel=True)(graph, 64)
-        loop = TwoPhaseStreamingPartitioner(balance_slack=1.01,
-                                            use_kernel=False)(graph, 64)
-        np.testing.assert_array_equal(kernel.assignment, loop.assignment)
+        _assert_paths_identical(
+            TwoPhaseStreamingPartitioner(balance_slack=1.01), graph, 64)
 
     def test_score_state_tracks_partitions_above_63(self):
         state = StreamingScoreState(num_vertices=4, num_partitions=70)
@@ -145,12 +143,13 @@ class TestTwoPSCapacityOverflowRegression:
     """When every partition is at capacity the edge must go to the
     least-loaded partition, not silently overflow partition 0."""
 
-    @pytest.mark.parametrize("use_kernel", (True, False))
-    def test_overflow_spreads_instead_of_piling_on_zero(self, use_kernel):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_overflow_spreads_instead_of_piling_on_zero(self, path):
         graph = generate_rmat(64, 400, seed=2)
         k = 4
-        partition = TwoPhaseStreamingPartitioner(
-            balance_slack=0.5, use_kernel=use_kernel)(graph, k)
+        with PATHS[path]():
+            partition = TwoPhaseStreamingPartitioner(
+                balance_slack=0.5)(graph, k)
         counts = partition.edge_counts()
         # Capacity is 0.5 * |E| / k = 50; the remaining half of the stream is
         # placed least-loaded-first, so the final counts stay within one edge
@@ -161,9 +160,7 @@ class TestTwoPSCapacityOverflowRegression:
     def test_overflow_assignments_identical_between_paths(self):
         graph = generate_rmat(64, 400, seed=4)
         _assert_paths_identical(
-            lambda use_kernel: TwoPhaseStreamingPartitioner(
-                balance_slack=0.4, use_kernel=use_kernel),
-            graph, 8)
+            TwoPhaseStreamingPartitioner(balance_slack=0.4), graph, 8)
 
 
 class TestBitmaskCutoffUnification:
@@ -174,13 +171,14 @@ class TestBitmaskCutoffUnification:
         assert not use_replica_bitmask(BITMASK_MAX_PARTITIONS + 1)
 
     @pytest.mark.parametrize("name", ("hdrf", "2ps", "hep10"))
-    @pytest.mark.parametrize("use_kernel", (True, False))
-    def test_valid_assignments_above_cutoff(self, name, use_kernel):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_valid_assignments_above_cutoff(self, name, path):
         # Above the cutoff an int64 shift would silently produce 0 (read) or
         # drop the write; both paths must keep working replica state.
         graph = generate_rmat(96, 700, seed=5)
         k = BITMASK_MAX_PARTITIONS + 1
-        partition = create_partitioner(name, use_kernel=use_kernel)(graph, k)
+        with PATHS[path]():
+            partition = create_partitioner(name)(graph, k)
         assert partition.assignment.min() >= 0
         assert partition.assignment.max() < k
 

@@ -1,16 +1,21 @@
 """Equality and unit tests for the vectorized graph-property engine.
 
-The engine must be *identical* to the seed implementations, not just close:
-exact triangle counts are asserted array-equal and full ``GraphProperties``
-bundles field-equal (``==`` on the dataclass compares floats exactly) across
-every generator family, adversarial edge lists, and the sampled-estimator
-path with its seeded vertex sample.
+The engine must be *identical* to the seed implementations (kept as oracles
+in ``tests/reference``), not just close: exact triangle counts are asserted
+array-equal and the triangle features of ``GraphProperties`` float-equal
+(``==``, no tolerance) across every generator family, adversarial edge
+lists, and the sampled-estimator path with its seeded vertex sample.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import (
+    local_clustering_sets,
+    sampled_triangle_stats_sets,
+    triangle_counts_sets,
+)
 from repro.generators import (
     generate_barabasi_albert,
     generate_erdos_renyi,
@@ -30,7 +35,6 @@ from repro.graph.property_engine import (
     sampled_triangle_stats_engine,
     triangle_counts_engine,
 )
-from repro.graph.properties import _sampled_triangle_stats
 from repro.runtime import ArtifactStore
 
 
@@ -46,6 +50,19 @@ def _family_graphs():
 
 edge_lists = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
                       min_size=0, max_size=250)
+
+
+def _assert_triangle_features_match_reference(graph):
+    """``compute_properties`` reports the means of the reference arrays."""
+    properties = compute_properties(graph)
+    if graph.num_vertices == 0:
+        expected = (0.0, 0.0)
+    else:
+        triangles = triangle_counts_sets(graph)
+        expected = (float(triangles.mean()),
+                    float(local_clustering_sets(graph, triangles).mean()))
+    assert (properties.mean_triangles,
+            properties.mean_local_clustering) == expected
 
 
 class TestSimpleCSR:
@@ -86,26 +103,25 @@ class TestExactEquality:
     @pytest.mark.parametrize("index", range(5))
     def test_triangle_counts_per_family(self, index):
         graph = _family_graphs()[index]
-        np.testing.assert_array_equal(triangle_counts(graph, use_engine=True),
-                                      triangle_counts(graph, use_engine=False))
+        np.testing.assert_array_equal(triangle_counts(graph),
+                                      triangle_counts_sets(graph))
 
     @pytest.mark.parametrize("index", range(5))
     def test_properties_per_family(self, index):
-        graph = _family_graphs()[index]
-        assert (compute_properties(graph, use_engine=True)
-                == compute_properties(graph, use_engine=False))
+        _assert_triangle_features_match_reference(_family_graphs()[index])
 
     def test_clustering_coefficients(self, small_rmat_graph):
         np.testing.assert_array_equal(
-            local_clustering_coefficients(small_rmat_graph, use_engine=True),
-            local_clustering_coefficients(small_rmat_graph, use_engine=False))
+            local_clustering_coefficients(small_rmat_graph),
+            local_clustering_sets(small_rmat_graph,
+                                  triangle_counts_sets(small_rmat_graph)))
 
     def test_duplicate_edges_self_loops_isolated_vertices(self):
         graph = Graph.from_edges(
             [(0, 1), (0, 1), (1, 0), (1, 2), (2, 0), (3, 3), (0, 0), (4, 5)],
             num_vertices=8)  # vertices 6, 7 isolated
-        np.testing.assert_array_equal(triangle_counts(graph, use_engine=True),
-                                      triangle_counts(graph, use_engine=False))
+        np.testing.assert_array_equal(triangle_counts(graph),
+                                      triangle_counts_sets(graph))
         np.testing.assert_array_equal(triangle_counts(graph),
                                       [1, 1, 1, 0, 0, 0, 0, 0])
 
@@ -113,50 +129,45 @@ class TestExactEquality:
         for graph in (Graph.empty(0), Graph.empty(5),
                       Graph.from_edges([(0, 1)], num_vertices=2),
                       Graph.from_edges([(0, 0)], num_vertices=1)):
-            np.testing.assert_array_equal(
-                triangle_counts(graph, use_engine=True),
-                triangle_counts(graph, use_engine=False))
-            assert (compute_properties(graph, use_engine=True)
-                    == compute_properties(graph, use_engine=False))
+            np.testing.assert_array_equal(triangle_counts(graph),
+                                          triangle_counts_sets(graph))
+            _assert_triangle_features_match_reference(graph)
 
     def test_small_block_size_matches(self, small_rmat_graph):
         np.testing.assert_array_equal(
             triangle_counts_engine(small_rmat_graph, block_pairs=7),
-            triangle_counts(small_rmat_graph, use_engine=False))
+            triangle_counts_sets(small_rmat_graph))
 
     @given(edge_lists)
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_triangles_and_properties(self, edges):
         graph = Graph.from_edges(edges)
-        np.testing.assert_array_equal(triangle_counts(graph, use_engine=True),
-                                      triangle_counts(graph, use_engine=False))
-        assert (compute_properties(graph, use_engine=True)
-                == compute_properties(graph, use_engine=False))
+        np.testing.assert_array_equal(triangle_counts(graph),
+                                      triangle_counts_sets(graph))
+        _assert_triangle_features_match_reference(graph)
 
 
 class TestSampledEquality:
     def test_sampled_path_bit_identical(self, small_rmat_graph):
         # num_vertices (256) > sample_size forces the sampled estimator.
         for seed in (0, 1, 17):
-            seed_props = compute_properties(small_rmat_graph,
+            properties = compute_properties(small_rmat_graph,
                                             exact_triangles=False,
-                                            sample_size=100, seed=seed,
-                                            use_engine=False)
-            engine_props = compute_properties(small_rmat_graph,
-                                              exact_triangles=False,
-                                              sample_size=100, seed=seed,
-                                              use_engine=True)
-            assert seed_props == engine_props
+                                            sample_size=100, seed=seed)
+            assert ((properties.mean_triangles,
+                     properties.mean_local_clustering)
+                    == sampled_triangle_stats_sets(small_rmat_graph, 100,
+                                                   seed))
 
     def test_sampled_stats_engine_matches_loop(self):
         graph = generate_realworld_graph("soc", 300, 2400, seed=5)
         assert (sampled_triangle_stats_engine(graph, 120, 9)
-                == _sampled_triangle_stats(graph, 120, 9))
+                == sampled_triangle_stats_sets(graph, 120, 9))
 
     def test_sampled_block_boundaries(self):
         graph = generate_rmat(300, 2500, seed=2)
         assert (sampled_triangle_stats_engine(graph, 150, 3, block_pairs=5)
-                == _sampled_triangle_stats(graph, 150, 3))
+                == sampled_triangle_stats_sets(graph, 150, 3))
 
     def test_exact_used_at_or_below_sample_size(self, small_rmat_graph):
         exact = compute_properties(small_rmat_graph, exact_triangles=True)
@@ -405,21 +416,3 @@ class TestPropertiesCLI:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "2 hits, 0 misses" in out
-
-    def test_no_engine_flag_matches_engine(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.generators import generate_rmat
-        from repro.graph import save_npz
-
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
-        graph = generate_rmat(96, 500, seed=0)
-        save_npz(graph, str(graphs_dir / "g.npz"))
-        assert main(["properties", "--graphs", str(graphs_dir),
-                     "--output", str(tmp_path / "engine")]) == 0
-        assert main(["properties", "--graphs", str(graphs_dir),
-                     "--output", str(tmp_path / "loop"), "--no-engine"]) == 0
-        payload = f"{graph.name}.properties.json"
-        engine = (tmp_path / "engine" / payload).read_text()
-        loop = (tmp_path / "loop" / payload).read_text()
-        assert engine == loop
