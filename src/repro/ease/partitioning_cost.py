@@ -72,8 +72,14 @@ class PartitioningCostModel:
 
     # ------------------------------------------------------------------ #
     def estimate_seconds(self, graph: Graph, partitioner_name: str,
-                         num_partitions: int) -> float:
-        """Simulated partitioning run-time in seconds."""
+                         num_partitions: int,
+                         graph_name: Optional[str] = None) -> float:
+        """Simulated partitioning run-time in seconds.
+
+        The jitter is keyed by ``graph_name`` (default ``graph.name``), so
+        corpus entries sharing one :class:`Graph` object by content can
+        each be estimated under their own name.
+        """
         if partitioner_name not in _BASE_RATE_PER_EDGE:
             raise ValueError(f"unknown partitioner {partitioner_name!r}")
         if num_partitions < 1:
@@ -111,8 +117,9 @@ class PartitioningCostModel:
             seconds += 2.0e-7 * num_edges  # degree-threshold pass
 
         if self.noise > 0:
-            seconds *= 1.0 + self.noise * self._jitter(graph.name,
-                                                       partitioner_name)
+            seconds *= 1.0 + self.noise * self._jitter(
+                graph.name if graph_name is None else graph_name,
+                partitioner_name)
         return float(seconds)
 
     # ------------------------------------------------------------------ #

@@ -84,27 +84,19 @@ class EASE:
     def train_from_graphs(cls, quality_graphs: Iterable[Graph],
                           processing_graphs: Iterable[Graph],
                           profiler: Optional[GraphProfiler] = None,
-                          jobs: Optional[int] = None,
-                          cache_dir: Optional[str] = None,
                           checkpoint_path: Optional[str] = None,
-                          backend=None,
                           **kwargs) -> "EASE":
         """Profile the given graphs (Figure 5, steps 1-3) and train (step 4).
 
-        ``jobs`` sets the parallelism of the profiling grid, ``backend``
-        selects the executor backend of the task-DAG scheduler (``inline``,
-        ``process``, ``worker`` or an instance) and ``cache_dir`` reuses the
-        content-addressed artifact cache across runs; all default to the
-        profiler's own settings and produce datasets identical to a
-        sequential run.  ``checkpoint_path`` enables task-level
-        checkpoint/resume of the profiling phase.
+        Parallelism, executor backend and artifact cache are the
+        ``profiler``'s own settings (every combination produces a dataset
+        identical to a sequential run).  ``checkpoint_path`` enables
+        task-level checkpoint/resume of the profiling phase.
         """
         profiler = profiler or GraphProfiler()
         system = cls(partitioner_names=profiler.partitioner_names, **kwargs)
         dataset = profiler.profile(quality_graphs, processing_graphs,
-                                   jobs=jobs, cache_dir=cache_dir,
-                                   checkpoint_path=checkpoint_path,
-                                   backend=backend)
+                                   checkpoint_path=checkpoint_path)
         return system.train(dataset)
 
     # ------------------------------------------------------------------ #

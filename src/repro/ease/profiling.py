@@ -7,11 +7,11 @@ the simulator and records the processing run-times.  The resulting
 :class:`~repro.ease.dataset.ProfileDataset` is the training (or evaluation)
 data of the three predictors.
 
-Since the job-runtime refactor, :class:`GraphProfiler` is a thin orchestrator
-over :mod:`repro.runtime`: it enumerates the profiling grid as typed jobs
-(:mod:`repro.runtime.jobs`), decomposes each work unit into fine-grained
-tasks scheduled over a pluggable executor backend — inline, process pool, or
-a shared-directory worker queue — against a content-addressed artifact store
+:class:`GraphProfiler` is a thin orchestrator over :mod:`repro.runtime`: it
+enumerates the profiling grid as a plan of fine-grained tasks
+(:mod:`repro.runtime.jobs`, :mod:`repro.runtime.tasks`), has them scheduled
+over a pluggable executor backend — inline, process pool, or a
+shared-directory worker queue — against a content-addressed artifact store
 (:mod:`repro.runtime.scheduler`, :mod:`repro.runtime.backends`), and merges
 the payloads into a dataset whose records match a sequential run exactly.
 See ``docs/ARCHITECTURE.md`` for the full design.
@@ -36,10 +36,6 @@ from ..runtime.executor import (
 )
 from ..runtime.jobs import ProfilePlan, build_plan
 from .dataset import ProfileDataset
-from .partitioning_cost import (
-    PartitioningCostModel,
-    measure_wall_clock_partitioning_time,
-)
 
 __all__ = ["GraphProfiler"]
 
@@ -132,7 +128,6 @@ class GraphProfiler:
         #: quarantine and deadlines of the profiling runtime (``None`` uses
         #: the policy defaults).
         self.failure_policy = failure_policy
-        self._cost_model = PartitioningCostModel()
         #: Accounting of the most recent profiling run (job counts, cache
         #: hit rate, partitions computed); ``None`` before the first run.
         self.last_run_stats: Optional[ProfileRunStats] = None
@@ -170,18 +165,10 @@ class GraphProfiler:
                                         seed=self.seed,
                                         store=self._property_store())
 
-    def _partitioning_seconds(self, graph: Graph, partitioner_name: str,
-                              num_partitions: int) -> float:
-        if self.partitioning_time_mode == "wall_clock":
-            return measure_wall_clock_partitioning_time(
-                graph, partitioner_name, num_partitions, seed=self.seed)
-        return self._cost_model.estimate_seconds(graph, partitioner_name,
-                                                 num_partitions)
-
     # ------------------------------------------------------------------ #
     def build_plan(self, quality_graphs: Iterable[Graph],
                    processing_graphs: Iterable[Graph]) -> ProfilePlan:
-        """Enumerate the profiling grid of the two corpora as typed jobs."""
+        """Enumerate the profiling grid of the two corpora as a plan."""
         return build_plan(
             quality_graphs=list(quality_graphs),
             processing_graphs=list(processing_graphs),
@@ -197,16 +184,13 @@ class GraphProfiler:
     def _run(self, quality_graphs: List[Graph],
              processing_graphs: List[Graph],
              progress: Optional[callable] = None,
-             jobs: Optional[int] = None,
-             cache_dir: Optional[str] = None,
-             checkpoint_path: Optional[str] = None,
-             backend=None) -> ProfileDataset:
+             checkpoint_path: Optional[str] = None) -> ProfileDataset:
         plan = self.build_plan(quality_graphs, processing_graphs)
         executor = ProfileExecutor(
-            jobs=self.jobs if jobs is None else jobs,
-            cache_dir=self.cache_dir if cache_dir is None else cache_dir,
+            jobs=self.jobs,
+            cache_dir=self.cache_dir,
             checkpoint_path=checkpoint_path,
-            backend=self.backend if backend is None else backend,
+            backend=self.backend,
             queue_dir=self.queue_dir,
             time_repeats=self.time_repeats,
             policy=self.failure_policy)
@@ -230,10 +214,7 @@ class GraphProfiler:
 
     def profile(self, quality_graphs: Iterable[Graph],
                 processing_graphs: Iterable[Graph],
-                jobs: Optional[int] = None,
-                cache_dir: Optional[str] = None,
-                checkpoint_path: Optional[str] = None,
-                backend=None) -> ProfileDataset:
+                checkpoint_path: Optional[str] = None) -> ProfileDataset:
         """Full profiling: quality grid on one corpus, processing on another.
 
         Mirrors the paper's setup where the (smaller) R-MAT-SMALL corpus feeds
@@ -242,11 +223,9 @@ class GraphProfiler:
         phases — the processing ``k`` appearing in ``partition_counts`` on a
         shared corpus — are partitioned only once.
 
-        ``jobs`` / ``cache_dir`` / ``backend`` override the profiler-level
-        settings for this run; ``checkpoint_path`` enables incremental
-        task-level checkpointing, and re-running with the same path resumes
-        a partially completed run mid-unit.
+        ``checkpoint_path`` enables incremental task-level checkpointing,
+        and re-running with the same path resumes a partially completed run
+        mid-unit.
         """
         return self._run(list(quality_graphs), list(processing_graphs),
-                         jobs=jobs, cache_dir=cache_dir,
-                         checkpoint_path=checkpoint_path, backend=backend)
+                         checkpoint_path=checkpoint_path)

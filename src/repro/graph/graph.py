@@ -26,7 +26,8 @@ def graph_fingerprint(graph: "Graph") -> str:
     content-addressed artifacts (partitions, properties, quality metrics,
     processing results).  Lives in the graph module so the property layer can
     memoize by content without depending on the runtime; re-exported by
-    :mod:`repro.runtime.jobs`, whose artifact keys build on it.
+    :mod:`repro.runtime.jobs`, and the root of every task id in
+    :mod:`repro.runtime.tasks`.
     """
     stored = getattr(graph, "_stored_fingerprint", None)
     if stored is not None:

@@ -183,10 +183,12 @@ def properties_artifact_key(fingerprint: str, exact_triangles: bool,
                             wedge_budget: Optional[int] = None):
     """Content-addressed artifact key of one graph's properties.
 
-    Matches :attr:`repro.runtime.jobs.PropertiesJob.key`, so property
-    memoization through an :class:`~repro.runtime.artifacts.ArtifactStore`
-    shares artifacts with profiling runs (and vice versa): a ``--extend``
-    re-profile or a serving cold start finds the properties already on disk.
+    The one spelling of the key: the ``task_id`` of
+    :class:`repro.runtime.tasks.PropertiesTask` calls this function, so
+    property memoization through an
+    :class:`~repro.runtime.artifacts.ArtifactStore` shares artifacts with
+    profiling runs (and vice versa): a ``--extend`` re-profile or a serving
+    cold start finds the properties already on disk.
 
     The ``exact`` mode keeps the legacy four-element key so artifacts
     written before approximate extraction existed are still found.

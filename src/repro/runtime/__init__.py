@@ -1,28 +1,18 @@
-"""Task-DAG profiling runtime (jobs, tasks, scheduler, backends, artifacts).
+"""Task-DAG profiling runtime (plan, tasks, scheduler, backends, artifacts).
 
-The runtime turns the EASE profiling grid — every training graph partitioned
-by every candidate partitioner at every ``k`` and processed under every
-workload — into typed jobs with content-addressed keys, decomposes each
-``(graph, partitioner, k)`` work unit into fine-grained tasks
-(partition → quality / timing / per-workload processing), and schedules the
-resulting DAG over a pluggable executor backend: inline, process pool, or a
-shared-directory worker queue served by external ``repro worker`` processes.
+The runtime enumerates the EASE profiling grid — every training graph
+partitioned by every candidate partitioner at every ``k`` and processed
+under every workload — as fine-grained tasks with content-addressed ids
+(per ``(graph, partitioner, k)`` unit: partition → quality / timing /
+per-workload processing), and schedules the resulting DAG over a pluggable
+executor backend: inline, process pool, or a shared-directory worker queue
+served by external ``repro worker`` processes.
 Shared artifacts are computed once, results merge deterministically, and a
 parallel run on any backend is indistinguishable from a sequential one.
 """
 
 from .artifacts import ArtifactStore
-from .jobs import (
-    GraphRef,
-    PartitionJob,
-    ProcessingJob,
-    ProfilePlan,
-    PropertiesJob,
-    QualityJob,
-    WorkUnit,
-    build_plan,
-    graph_fingerprint,
-)
+from .jobs import GraphRef, ProfilePlan, build_plan, graph_fingerprint
 from .tasks import (
     FusedTask,
     PartitionTask,
@@ -52,12 +42,7 @@ from .executor import (
 __all__ = [
     "ArtifactStore",
     "GraphRef",
-    "PartitionJob",
-    "ProcessingJob",
     "ProfilePlan",
-    "PropertiesJob",
-    "QualityJob",
-    "WorkUnit",
     "build_plan",
     "graph_fingerprint",
     "FusedTask",

@@ -2,9 +2,9 @@
 
 Execution model
 ---------------
-Since the task-DAG refactor the unit of dispatch is no longer the monolithic
-:class:`~repro.runtime.jobs.WorkUnit` but its fine-grained tasks
-(:mod:`repro.runtime.tasks`): ``PartitionTask`` feeds a ``QualityTask``, a
+A :class:`~repro.runtime.jobs.ProfilePlan` enumerates the profiling grid as
+fine-grained tasks (:mod:`repro.runtime.tasks`): per ``(graph, partitioner,
+k)`` unit a ``PartitionTask`` feeds a ``QualityTask``, a
 ``PartitionTimeTask`` and one ``ProcessingTask`` per workload.  A
 :class:`~repro.runtime.scheduler.Scheduler` tracks readiness and dispatches
 ready tasks to a pluggable :class:`~repro.runtime.backends.ExecutorBackend`
@@ -38,7 +38,8 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..faults import FailurePolicy, QuarantineError
@@ -81,12 +82,6 @@ AVERAGE_ITERATION_ALGORITHMS = frozenset(
 #: process pool otherwise).
 BACKEND_NAMES = ("auto", "inline", "process", "worker")
 
-#: Version history: 2 keyed checkpoints by task ids instead of work units;
-#: 3 replaced the whole-dict pickle with the append-only, per-frame
-#: checksummed journal of :mod:`repro.runtime.journal` (version-2 files
-#: still load).
-_CHECKPOINT_VERSION = 3
-
 
 # --------------------------------------------------------------------------- #
 # Run accounting
@@ -95,13 +90,14 @@ _CHECKPOINT_VERSION = 3
 class ProfileRunStats:
     """Task- and unit-level accounting of one profiling run.
 
-    Unit counters classify each work unit by how its tasks were satisfied:
-    fully from the artifact cache (``cache_hit_units``), from the checkpoint
-    (``checkpoint_units``, possibly mixed with cache hits), or with at least
-    one task actually executed (``executed_units``).
+    Unit counters classify each ``(graph, partitioner, k)`` unit by how its
+    tasks were satisfied: fully from the artifact cache
+    (``cache_hit_units``), from the checkpoint (``checkpoint_units``,
+    possibly mixed with cache hits), or with at least one task actually
+    executed (``executed_units``).
     ``partition_slots_enumerated`` counts grid slots as the sequential
     profiler would execute them (one partitioning each);
-    ``unique_partition_jobs`` counts the deduplicated jobs after
+    ``unique_partition_jobs`` counts the partition tasks left after
     content-addressing; ``partitions_computed`` counts the partitioner
     invocations that actually happened (0 on a fully warm cache).
     """
@@ -137,29 +133,9 @@ class ProfileRunStats:
         return self.cache_hit_units / self.total_units
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "total_units": self.total_units,
-            "executed_units": self.executed_units,
-            "cache_hit_units": self.cache_hit_units,
-            "checkpoint_units": self.checkpoint_units,
-            "cache_hit_rate": self.cache_hit_rate(),
-            "partitions_computed": self.partitions_computed,
-            "partition_slots_enumerated": self.partition_slots_enumerated,
-            "unique_partition_jobs": self.unique_partition_jobs,
-            "duplicate_partitions_avoided": self.duplicate_partitions_avoided,
-            "properties_total": self.properties_total,
-            "properties_computed": self.properties_computed,
-            "total_tasks": self.total_tasks,
-            "executed_tasks": self.executed_tasks,
-            "cache_hit_tasks": self.cache_hit_tasks,
-            "checkpoint_tasks": self.checkpoint_tasks,
-            "backend": self.backend,
-            "retried_tasks": self.retried_tasks,
-            "deadline_failures": self.deadline_failures,
-            "quarantined_tasks": self.quarantined_tasks,
-            "skipped_tasks": self.skipped_tasks,
-            "quarantines": list(self.quarantines),
-        }
+        """Every field plus the derived ``cache_hit_rate`` (the
+        ``--stats-json`` format)."""
+        return dict(asdict(self), cache_hit_rate=self.cache_hit_rate())
 
 
 # --------------------------------------------------------------------------- #
@@ -331,104 +307,75 @@ class ProfileExecutor:
             if temp_queue is not None:
                 shutil.rmtree(temp_queue, ignore_errors=True)
 
+        stats = self._run_stats(task_graph, outcome, backend.name)
         if outcome.quarantined:
             # A partial result must not masquerade as a dataset: surface
             # the poisoned tasks (with what *did* run) as an error.
-            stats = self._quarantine_stats(plan, task_graph, outcome,
-                                           backend.name)
             raise QuarantineError(outcome.quarantined, stats)
-        return self._assemble(plan, task_graph, outcome,
-                              backend_name=backend.name)
-
-    def _quarantine_stats(self, plan, task_graph, outcome,
-                          backend_name: str) -> ProfileRunStats:
-        """Disposition-level stats of a run that quarantined tasks (the
-        per-unit payload fold is impossible — payloads are missing)."""
-        stats = ProfileRunStats(
-            total_units=len(plan.work_units()),
-            total_tasks=len(task_graph.tasks),
-            partitions_computed=outcome.partitions_computed,
-            backend=backend_name)
-        self._fold_policy_stats(stats, outcome)
-        for disposition in outcome.dispositions.values():
-            if disposition == DISPOSITION_EXECUTED:
-                stats.executed_tasks += 1
-            elif disposition == DISPOSITION_CHECKPOINT:
-                stats.checkpoint_tasks += 1
-            elif disposition in (DISPOSITION_CACHE, DISPOSITION_PRUNED):
-                stats.cache_hit_tasks += 1
-        return stats
+        return self._assemble(plan, task_graph, outcome, stats)
 
     @staticmethod
-    def _fold_policy_stats(stats: ProfileRunStats, outcome) -> None:
-        stats.retried_tasks = outcome.retried_tasks
-        stats.deadline_failures = outcome.deadline_failures
-        stats.quarantined_tasks = len(outcome.quarantined)
-        stats.skipped_tasks = sum(
-            1 for disposition in outcome.dispositions.values()
-            if disposition == DISPOSITION_SKIPPED)
-        stats.quarantines = [record.as_dict()
-                             for record in outcome.quarantined]
+    def _run_stats(task_graph, outcome, backend_name: str) -> ProfileRunStats:
+        """Disposition-level statistics: all a run that quarantined tasks
+        can report (its per-unit payload fold is impossible — payloads are
+        missing)."""
+        units = {task.unit_key for task in task_graph.tasks.values()}
+        units.discard(None)
+        counts = Counter(outcome.dispositions.values())
+        return ProfileRunStats(
+            total_units=len(units),
+            total_tasks=len(task_graph.tasks),
+            executed_tasks=counts[DISPOSITION_EXECUTED],
+            checkpoint_tasks=counts[DISPOSITION_CHECKPOINT],
+            cache_hit_tasks=(counts[DISPOSITION_CACHE]
+                             + counts[DISPOSITION_PRUNED]),
+            partitions_computed=outcome.partitions_computed,
+            backend=backend_name,
+            retried_tasks=outcome.retried_tasks,
+            deadline_failures=outcome.deadline_failures,
+            quarantined_tasks=len(outcome.quarantined),
+            skipped_tasks=counts[DISPOSITION_SKIPPED],
+            quarantines=[record.as_dict() for record in outcome.quarantined])
 
     # ------------------------------------------------------------------ #
-    def _assemble(self, plan: ProfilePlan, task_graph, outcome,
-                  backend_name: str
+    @staticmethod
+    def _assemble(plan: ProfilePlan, task_graph, outcome,
+                  stats: ProfileRunStats
                   ) -> Tuple[Dict[Any, Any], ProfileRunStats]:
-        """Fold task payloads into per-unit payloads plus run statistics."""
-        units = plan.work_units()
-        stats = ProfileRunStats(
-            total_units=len(units),
-            partition_slots_enumerated=plan.enumerated_partition_slots(),
-            unique_partition_jobs=len(units),
-            duplicate_partitions_avoided=(plan.enumerated_partition_slots()
-                                          - len(units)),
-            properties_total=len(plan.properties_jobs()),
-            partitions_computed=outcome.partitions_computed,
-            backend=backend_name)
-        self._fold_policy_stats(stats, outcome)
-
-        stats.total_tasks = len(task_graph.tasks)
-        for disposition in outcome.dispositions.values():
-            if disposition == DISPOSITION_EXECUTED:
-                stats.executed_tasks += 1
-            elif disposition == DISPOSITION_CHECKPOINT:
-                stats.checkpoint_tasks += 1
-            elif disposition in (DISPOSITION_CACHE, DISPOSITION_PRUNED):
-                stats.cache_hit_tasks += 1
-
+        """Fold task payloads into per-graph properties and per-unit
+        payloads; complete the run statistics."""
         results: Dict[Any, Any] = {}
-        for job in plan.properties_jobs():
-            payload = outcome.payloads[job.key]
-            results[job.key] = payload["properties"]
-            stats.properties_computed += payload["computed"]
+        unit_dispositions: Dict[Tuple[str, str, int], List[str]] = {}
+        for task_id, task in task_graph.tasks.items():
+            kind = task_id[0]
+            if kind == "properties":
+                payload = outcome.payloads[task_id]
+                results[task.graph_fingerprint] = payload["properties"]
+                stats.properties_total += 1
+                stats.properties_computed += payload["computed"]
+                continue
+            unit_key = task.unit_key
+            unit_dispositions.setdefault(unit_key, []).append(
+                outcome.dispositions[task_id])
+            unit = results.setdefault(unit_key, {"processing": {}})
+            if kind == "quality":
+                unit["quality"] = outcome.payloads[task_id]
+            elif kind == "partitioning_time_task":
+                unit["timing"] = outcome.payloads[task_id]
+            elif kind == "processing":
+                unit["processing"][task.algorithm] = outcome.payloads[task_id]
 
-        unit_tasks: Dict[Tuple[str, str, int], List] = {}
-        for task_id, unit_key in task_graph.unit_of.items():
-            unit_tasks.setdefault(unit_key, []).append(task_id)
-
-        for unit in units:
-            unit_key = (unit.graph_fingerprint, unit.partitioner,
-                        unit.num_partitions)
-            dispositions = [outcome.dispositions[task_id]
-                            for task_id in unit_tasks[unit_key]]
+        for dispositions in unit_dispositions.values():
             if DISPOSITION_EXECUTED in dispositions:
                 stats.executed_units += 1
             elif DISPOSITION_CHECKPOINT in dispositions:
                 stats.checkpoint_units += 1
             else:
                 stats.cache_hit_units += 1
-
-            payload: Dict[str, Any] = {"processing": {}}
-            for task_id in unit_tasks[unit_key]:
-                kind = task_id[0]
-                if kind == "quality":
-                    payload["quality"] = outcome.payloads[task_id]
-                elif kind == "partitioning_time_task":
-                    payload["timing"] = outcome.payloads[task_id]
-                elif kind == "processing":
-                    payload["processing"][task_id[4]] = \
-                        outcome.payloads[task_id]
-            results[unit_key] = payload
+        stats.partition_slots_enumerated = plan.enumerated_partition_slots()
+        stats.unique_partition_jobs = stats.total_units
+        stats.duplicate_partitions_avoided = (
+            stats.partition_slots_enumerated - stats.total_units)
         return results, stats
 
 
@@ -451,22 +398,20 @@ def build_dataset(plan: ProfilePlan, results: Dict[Any, Any],
         QualityRecord,
     )
 
-    properties_of = {job.graph_fingerprint: results[job.key]
-                     for job in plan.properties_jobs()}
     dataset = ProfileDataset()
 
     def timing_record(ref, partitioner, k, payload):
         sample = payload["timing"][ref.name]
         return PartitioningTimeRecord(
             graph_name=ref.name, graph_type=ref.graph_type,
-            properties=properties_of[ref.fingerprint],
+            properties=results[ref.fingerprint],
             partitioner=partitioner, num_partitions=k,
             seconds=sample["seconds"],
             seconds_std=sample["seconds_std"],
             repeats=sample["repeats"])
 
     for ref in plan.quality_refs:
-        properties = properties_of[ref.fingerprint]
+        properties = results[ref.fingerprint]
         for partitioner in plan.partitioner_names:
             for k in plan.partition_counts:
                 payload = results[(ref.fingerprint, partitioner, k)]
@@ -482,7 +427,7 @@ def build_dataset(plan: ProfilePlan, results: Dict[Any, Any],
 
     k = plan.processing_k
     for ref in plan.processing_refs:
-        properties = properties_of[ref.fingerprint]
+        properties = results[ref.fingerprint]
         for partitioner in plan.partitioner_names:
             payload = results[(ref.fingerprint, partitioner, k)]
             metrics = dict(payload["quality"])

@@ -1,60 +1,41 @@
-"""Typed job enumeration of the EASE profiling grid.
+"""The profiling plan: the EASE profiling grid, enumerated as tasks.
 
 The profiling phase of the paper (Figure 5, steps 2-3) is a dense grid:
 every training graph is partitioned by every candidate partitioner at every
 ``k``, quality metrics and partitioning run-time are recorded, and at the
-processing ``k`` every workload is executed on the partitioned graph.  This
-module enumerates that grid as explicit job records with content-addressed
-keys:
+processing ``k`` every workload is executed on the partitioned graph.
+:class:`ProfilePlan` holds the two corpora and the grid settings and
+enumerates the grid directly as the task records of
+:mod:`repro.runtime.tasks` — there is no other record of a grid cell, and a
+cell's key is spelled only by its task's ``task_id``.
 
-* :class:`PartitionJob` — produce the edge-partition assignment of one
-  ``(graph, partitioner, k)`` combination;
-* :class:`QualityJob` — quality metrics + partitioning run-time for one
-  combination (consumes the partition artifact);
-* :class:`ProcessingJob` — one workload execution on one partitioned graph
-  (consumes the same partition artifact);
-* :class:`PropertiesJob` — the :class:`~repro.graph.GraphProperties` of one
-  graph.
-
-Keys are tuples rooted at the *content* fingerprint of the graph, so two
-corpus entries with identical edge arrays share every artifact, and the
-quality and processing phases share partitions instead of re-partitioning.
-The one exception is the partitioning *run-time*, whose simulated jitter
-depends on the graph name (see :mod:`repro.ease.partitioning_cost`); its key
-therefore carries the graph name as well.
-
-:class:`WorkUnit` groups the jobs of one ``(graph, partitioner, k)``
-combination into the unit of parallel execution, so the partition is computed
-once per unit even when both phases (or several workloads) need it.
+Cells are deduplicated by graph *content*: two corpus entries with identical
+edge arrays, or the quality and the processing phase meeting at the
+processing ``k``, share one ``(graph, partitioner, k)`` unit and hence one
+partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph import Graph, graph_fingerprint
 from ..processing import ClusterSpec
+from .tasks import (
+    PartitionTask,
+    PartitionTimeTask,
+    ProcessingTask,
+    PropertiesTask,
+    QualityTask,
+)
 
 __all__ = [
     "graph_fingerprint",
     "GraphRef",
-    "PropertiesJob",
-    "PartitionJob",
-    "QualityJob",
-    "ProcessingJob",
-    "WorkUnit",
     "ProfilePlan",
     "build_plan",
 ]
-
-
-def _cluster_signature(cluster: Optional[ClusterSpec]):
-    if cluster is None:
-        return None
-    return (cluster.num_machines, cluster.edge_compute_cost,
-            cluster.vertex_compute_cost, cluster.network_bandwidth,
-            cluster.network_latency)
 
 
 @dataclass(frozen=True)
@@ -64,134 +45,6 @@ class GraphRef:
     name: str
     graph_type: str
     fingerprint: str
-
-
-@dataclass(frozen=True)
-class PropertiesJob:
-    """Compute the :class:`GraphProperties` of one graph.
-
-    ``mode`` selects exact or sketch-based (``"approximate"``) extraction;
-    approximate jobs carry their wedge budget in the key so estimates under
-    different budgets — and estimates vs. exact values — never share an
-    artifact.  Exact jobs keep the legacy four-element key.
-    """
-
-    graph_fingerprint: str
-    exact_triangles: bool
-    seed: int
-    mode: str = "exact"
-    wedge_budget: Optional[int] = None
-
-    @property
-    def key(self):
-        if self.mode == "exact":
-            return ("properties", self.graph_fingerprint,
-                    self.exact_triangles, self.seed)
-        return ("properties", self.graph_fingerprint, self.exact_triangles,
-                self.seed, self.mode, self.wedge_budget)
-
-
-@dataclass(frozen=True)
-class PartitionJob:
-    """Partition one graph with one partitioner at one ``k``."""
-
-    graph_fingerprint: str
-    partitioner: str
-    num_partitions: int
-    seed: int
-
-    @property
-    def key(self):
-        return ("partition", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
-
-
-@dataclass(frozen=True)
-class QualityJob:
-    """Quality metrics and partitioning run-time of one combination.
-
-    ``graph_name`` is carried for the run-time key only (the simulated
-    partitioning time jitters deterministically per graph *name*); the
-    quality metrics themselves are keyed purely by content.
-    """
-
-    graph_fingerprint: str
-    graph_name: str
-    partitioner: str
-    num_partitions: int
-    seed: int
-    time_mode: str
-
-    def partition_job(self) -> PartitionJob:
-        return PartitionJob(self.graph_fingerprint, self.partitioner,
-                            self.num_partitions, self.seed)
-
-    @property
-    def quality_key(self):
-        return ("quality", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
-
-    @property
-    def timing_key(self):
-        return ("partitioning_time", self.graph_fingerprint, self.graph_name,
-                self.partitioner, self.num_partitions, self.seed,
-                self.time_mode)
-
-
-@dataclass(frozen=True)
-class ProcessingJob:
-    """Run one workload on one partitioned graph in the simulator."""
-
-    graph_fingerprint: str
-    partitioner: str
-    num_partitions: int
-    algorithm: str
-    seed: int
-    cluster: Optional[ClusterSpec]
-
-    def partition_job(self) -> PartitionJob:
-        return PartitionJob(self.graph_fingerprint, self.partitioner,
-                            self.num_partitions, self.seed)
-
-    @property
-    def key(self):
-        return ("processing", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.algorithm, self.seed,
-                _cluster_signature(self.cluster))
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """Unit of parallel execution: all jobs sharing one partition artifact.
-
-    ``timing_names`` lists the distinct graph names that need a partitioning
-    run-time sample for this combination (normally one; more when two corpus
-    entries share content but not names).  ``algorithms`` lists the workloads
-    to execute at this combination (empty for quality-grid-only units).
-    """
-
-    graph_fingerprint: str
-    partitioner: str
-    num_partitions: int
-    seed: int
-    time_mode: str
-    timing_names: Tuple[str, ...]
-    algorithms: Tuple[str, ...]
-    cluster: Optional[ClusterSpec]
-
-    def partition_job(self) -> PartitionJob:
-        return PartitionJob(self.graph_fingerprint, self.partitioner,
-                            self.num_partitions, self.seed)
-
-    def quality_job(self, graph_name: str) -> QualityJob:
-        return QualityJob(self.graph_fingerprint, graph_name,
-                          self.partitioner, self.num_partitions, self.seed,
-                          self.time_mode)
-
-    def processing_job(self, algorithm: str) -> ProcessingJob:
-        return ProcessingJob(self.graph_fingerprint, self.partitioner,
-                             self.num_partitions, algorithm, self.seed,
-                             self.cluster)
 
 
 @dataclass
@@ -217,42 +70,65 @@ class ProfilePlan:
     seed: int
 
     # ------------------------------------------------------------------ #
-    def properties_jobs(self) -> List[PropertiesJob]:
-        """One properties job per distinct graph content, in corpus order."""
-        jobs: Dict[str, PropertiesJob] = {}
-        for ref in list(self.quality_refs) + list(self.processing_refs):
-            if ref.fingerprint not in jobs:
-                jobs[ref.fingerprint] = PropertiesJob(
-                    ref.fingerprint, self.exact_triangles, self.seed)
-        return list(jobs.values())
+    def tasks(self, repeats: int = 1) -> List[Any]:
+        """Every task of the grid, in deterministic topological order.
 
-    def quality_jobs(self) -> List[QualityJob]:
-        """Every quality-grid slot (including the processing-``k`` slots)."""
-        jobs = []
+        One properties task per distinct graph content first, then unit by
+        unit (first occurrence in corpus order): the partition, its quality
+        and timing tasks and — at the processing ``k`` — one processing task
+        per workload.  A
+        combination appearing in both the quality grid and the processing
+        phase (same graph content, partitioner and ``k``) is one unit whose
+        partition serves both — this is what eliminates the sequential
+        profiler's double partitioning at the processing ``k``.  A unit's
+        timing task samples every distinct corpus-entry name that shares
+        the content (normally one).  ``repeats`` is the number of wall-clock
+        timing measurements per sample.
+        """
+        # Unit key -> names to sample, in first-occurrence (dispatch) order.
+        timing_names: Dict[Tuple[str, str, int], List[str]] = {}
+
+        def visit(ref: GraphRef, partitioner: str,
+                  k: int) -> Tuple[str, str, int]:
+            unit_key = (ref.fingerprint, partitioner, k)
+            names = timing_names.setdefault(unit_key, [])
+            if ref.name not in names:
+                names.append(ref.name)
+            return unit_key
+
         for ref in self.quality_refs:
             for partitioner in self.partitioner_names:
                 for k in self.partition_counts:
-                    jobs.append(QualityJob(ref.fingerprint, ref.name,
-                                           partitioner, k, self.seed,
-                                           self.time_mode))
-        for ref in self.processing_refs:
-            for partitioner in self.partitioner_names:
-                jobs.append(QualityJob(ref.fingerprint, ref.name, partitioner,
-                                       self.processing_k, self.seed,
-                                       self.time_mode))
-        return jobs
+                    visit(ref, partitioner, k)
+        processing_units = {visit(ref, partitioner, self.processing_k)
+                            for ref in self.processing_refs
+                            for partitioner in self.partitioner_names}
 
-    def processing_jobs(self) -> List[ProcessingJob]:
-        """Every workload execution slot of the processing phase."""
-        jobs = []
-        for ref in self.processing_refs:
-            for partitioner in self.partitioner_names:
-                for algorithm in self.algorithm_names:
-                    jobs.append(ProcessingJob(
-                        ref.fingerprint, partitioner, self.processing_k,
-                        algorithm, self.seed,
-                        self._resolved_cluster(self.processing_k)))
-        return jobs
+        # Mirrors ProcessingEngine._resolve_cluster: by default the simulated
+        # cluster has one machine per partition.
+        cluster = (self.cluster if self.cluster is not None
+                   else ClusterSpec(num_machines=self.processing_k))
+        algorithms = tuple(dict.fromkeys(self.algorithm_names))
+        fingerprints = dict.fromkeys(
+            ref.fingerprint
+            for ref in list(self.quality_refs) + list(self.processing_refs))
+        tasks: List[Any] = [
+            PropertiesTask(fingerprint, self.exact_triangles, self.seed)
+            for fingerprint in fingerprints]
+        for unit_key, names in timing_names.items():
+            fingerprint, partitioner, k = unit_key
+            tasks.append(PartitionTask(fingerprint, partitioner, k,
+                                       self.seed))
+            tasks.append(QualityTask(fingerprint, partitioner, k, self.seed))
+            tasks.append(PartitionTimeTask(fingerprint, partitioner, k,
+                                           self.seed, self.time_mode,
+                                           tuple(names), repeats))
+            if unit_key in processing_units:
+                tasks.extend(
+                    ProcessingTask(fingerprint, partitioner, k, algorithm,
+                                   self.seed, cluster)
+                    for algorithm in algorithms)
+        return tasks
 
     def enumerated_partition_slots(self) -> int:
         """Grid slots that would each partition once in the sequential path."""
@@ -261,61 +137,6 @@ class ProfilePlan:
         processing_slots = (len(self.processing_refs)
                             * len(self.partitioner_names))
         return quality_slots + processing_slots
-
-    def unique_partition_jobs(self) -> List[PartitionJob]:
-        """Deduplicated partition jobs actually needing computation."""
-        return [unit.partition_job() for unit in self.work_units()]
-
-    # ------------------------------------------------------------------ #
-    def _resolved_cluster(self, k: int) -> ClusterSpec:
-        # Mirrors ProcessingEngine._resolve_cluster: by default the simulated
-        # cluster has one machine per partition.
-        if self.cluster is not None:
-            return self.cluster
-        return ClusterSpec(num_machines=k)
-
-    def work_units(self) -> List[WorkUnit]:
-        """Execution units, deduplicated across phases, in deterministic order.
-
-        A combination appearing in both the quality grid and the processing
-        phase (same graph content, partitioner and ``k``) yields a single
-        unit whose partition artifact serves both — this is what eliminates
-        the sequential profiler's double partitioning at the processing
-        ``k``.
-        """
-        pending: Dict[Tuple[str, str, int], Dict] = {}
-
-        def slot(fingerprint: str, partitioner: str, k: int) -> Dict:
-            unit_key = (fingerprint, partitioner, k)
-            if unit_key not in pending:
-                pending[unit_key] = {"timing_names": [], "algorithms": []}
-            return pending[unit_key]
-
-        for ref in self.quality_refs:
-            for partitioner in self.partitioner_names:
-                for k in self.partition_counts:
-                    entry = slot(ref.fingerprint, partitioner, k)
-                    if ref.name not in entry["timing_names"]:
-                        entry["timing_names"].append(ref.name)
-        for ref in self.processing_refs:
-            for partitioner in self.partitioner_names:
-                entry = slot(ref.fingerprint, partitioner, self.processing_k)
-                if ref.name not in entry["timing_names"]:
-                    entry["timing_names"].append(ref.name)
-                for algorithm in self.algorithm_names:
-                    if algorithm not in entry["algorithms"]:
-                        entry["algorithms"].append(algorithm)
-
-        units = []
-        for (fingerprint, partitioner, k), entry in pending.items():
-            cluster = (self._resolved_cluster(k) if entry["algorithms"]
-                       else None)
-            units.append(WorkUnit(
-                graph_fingerprint=fingerprint, partitioner=partitioner,
-                num_partitions=k, seed=self.seed, time_mode=self.time_mode,
-                timing_names=tuple(entry["timing_names"]),
-                algorithms=tuple(entry["algorithms"]), cluster=cluster))
-        return units
 
 
 def build_plan(quality_graphs: Sequence[Graph],

@@ -1,9 +1,10 @@
 """Task-DAG construction and the readiness-tracking scheduler.
 
-:func:`build_task_graph` decomposes a :class:`ProfilePlan` into the
-fine-grained tasks of :mod:`repro.runtime.tasks`, keyed by ``task_id`` and
-grouped by the work unit they came from (for unit-level accounting and the
-``granularity="unit"`` fused mode).
+:func:`build_task_graph` collects the fine-grained tasks a
+:class:`ProfilePlan` enumerates (:mod:`repro.runtime.tasks`), keyed by
+``task_id``; each unit-scoped task names its ``(graph, partitioner, k)``
+unit itself (for unit-level accounting and the ``granularity="unit"`` fused
+mode).
 
 :class:`Scheduler` drives a :class:`TaskGraph` to completion over any
 :class:`~repro.runtime.backends.ExecutorBackend`:
@@ -42,16 +43,7 @@ from ..obs.trace import begin_span
 from .artifacts import ArtifactStore
 from .backends import ExecutorBackend, TaskEnvelope, TaskFailure
 from .jobs import ProfilePlan
-from .tasks import (
-    LAZY_RESTORE,
-    FusedTask,
-    PartitionTask,
-    PartitionTimeTask,
-    ProcessingTask,
-    PropertiesTask,
-    QualityTask,
-    TaskId,
-)
+from .tasks import LAZY_RESTORE, FusedTask, TaskId
 
 __all__ = ["TaskGraph", "Scheduler", "SchedulerOutcome", "build_task_graph"]
 
@@ -71,45 +63,15 @@ class TaskGraph:
     """The fine-grained tasks of one profiling run, in topological order.
 
     ``tasks`` preserves construction order, which is a valid topological
-    order (a partition task always precedes its dependents).  ``unit_of``
-    maps task ids to the ``(fingerprint, partitioner, k)`` unit key they
-    decompose, for unit-level accounting and fusion.
+    order (a partition task always precedes its dependents).
     """
 
     tasks: Dict[TaskId, Any] = field(default_factory=dict)
-    unit_of: Dict[TaskId, Tuple[str, str, int]] = field(default_factory=dict)
-
-    def add(self, task, unit_key: Optional[Tuple[str, str, int]] = None):
-        task_id = task.task_id
-        if task_id not in self.tasks:
-            self.tasks[task_id] = task
-            if unit_key is not None:
-                self.unit_of[task_id] = unit_key
-        return self.tasks[task_id]
 
 
 def build_task_graph(plan: ProfilePlan, repeats: int = 1) -> TaskGraph:
-    """Decompose a plan's work units into the scheduler's task DAG."""
-    graph = TaskGraph()
-    for job in plan.properties_jobs():
-        graph.add(PropertiesTask(job.graph_fingerprint, job.exact_triangles,
-                                 job.seed, job.mode, job.wedge_budget))
-    for unit in plan.work_units():
-        unit_key = (unit.graph_fingerprint, unit.partitioner,
-                    unit.num_partitions)
-        graph.add(PartitionTask(unit.graph_fingerprint, unit.partitioner,
-                                unit.num_partitions, unit.seed), unit_key)
-        graph.add(QualityTask(unit.graph_fingerprint, unit.partitioner,
-                              unit.num_partitions, unit.seed), unit_key)
-        graph.add(PartitionTimeTask(unit.graph_fingerprint, unit.partitioner,
-                                    unit.num_partitions, unit.seed,
-                                    unit.time_mode, unit.timing_names,
-                                    repeats), unit_key)
-        for algorithm in unit.algorithms:
-            graph.add(ProcessingTask(unit.graph_fingerprint, unit.partitioner,
-                                     unit.num_partitions, algorithm,
-                                     unit.seed, unit.cluster), unit_key)
-    return graph
+    """Collect the tasks a plan enumerates into the scheduler's task DAG."""
+    return TaskGraph({task.task_id: task for task in plan.tasks(repeats)})
 
 
 @dataclass
@@ -491,7 +453,7 @@ class Scheduler:
         singles: List = []
         for task_id in to_execute:
             task = self.graph.tasks[task_id]
-            unit_key = self.graph.unit_of.get(task_id)
+            unit_key = task.unit_key
             if unit_key is None:
                 singles.append(task)
             else:

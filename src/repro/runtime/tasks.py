@@ -1,7 +1,8 @@
 """Fine-grained profiling tasks: the nodes of the scheduler's DAG.
 
-Each :class:`~repro.runtime.jobs.WorkUnit` of the plan decomposes into a
-small dependency graph::
+A task is the only record of a profiling-grid cell and its ``task_id`` the
+only spelling of the cell's key.  Each ``(graph, partitioner, k)`` unit of
+a :class:`~repro.runtime.jobs.ProfilePlan` is a small dependency graph::
 
     PartitionTask ──> QualityTask
                  ├──> PartitionTimeTask
@@ -10,8 +11,14 @@ small dependency graph::
 plus one independent :class:`PropertiesTask` per distinct graph content.
 Tasks are frozen, picklable dataclasses; their ``task_id`` doubles as the
 checkpoint key and — where the task produces exactly one artifact — as the
-content-addressed :class:`~repro.runtime.artifacts.ArtifactStore` key, so the
-PR 1 artifact cache stays valid across the refactor.
+content-addressed :class:`~repro.runtime.artifacts.ArtifactStore` key.  Ids
+are rooted at the *content* fingerprint of the graph, so two corpus entries
+with identical edge arrays share every artifact, and the quality and
+processing phases share partitions instead of re-partitioning.  The one
+exception is the partitioning *run-time*, whose simulated jitter depends on
+the graph name (see :mod:`repro.ease.partitioning_cost`); its store key
+carries the graph name as well.  Existing cache directories and checkpoints
+hold these tuples, so their layout must not change.
 
 ``dependencies`` orders execution; ``input_dependencies`` is the subset whose
 *payload* the task actually consumes (the partition assignment).  The
@@ -33,10 +40,9 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph import Graph
+from ..graph import Graph, properties_artifact_key
 from ..processing import ClusterSpec
 from .artifacts import ArtifactStore
-from .jobs import _cluster_signature
 
 __all__ = [
     "TaskId",
@@ -60,26 +66,45 @@ TaskId = Tuple[Any, ...]
 LAZY_RESTORE = "lazy-restore"
 
 
-def _resolve_partition(graph: Graph, partition_task_id: TaskId,
-                       partitioner: str, num_partitions: int,
-                       store: ArtifactStore, inputs: Dict[TaskId, Any]):
-    """Materialise the :class:`EdgePartition` a dependent task consumes.
+class _UnitTask:
+    """What the four tasks of one ``(graph, partitioner, k)`` unit share.
 
-    The assignment arrives either in ``inputs`` (shipped by the scheduler
-    from the producing task's payload) or from the artifact store (lazy load
-    when the partition was cache-satisfied).
+    Subclasses are dataclasses with ``graph_fingerprint``, ``partitioner``,
+    ``num_partitions`` and ``seed`` fields.
     """
-    from ..partitioning import EdgePartition
 
-    payload = inputs.get(partition_task_id)
-    if payload is not None:
-        assignment = payload["assignment"]
-    else:
-        assignment = store.get(partition_task_id)
-        if assignment is None:
-            raise RuntimeError(
-                f"partition artifact missing for task {partition_task_id!r}")
-    return EdgePartition(graph, num_partitions, assignment, partitioner)
+    @property
+    def unit_key(self) -> Tuple[str, str, int]:
+        """The unit this task belongs to: what unit-granular dispatch fuses
+        and the unit counters of the run statistics group by."""
+        return (self.graph_fingerprint, self.partitioner,
+                self.num_partitions)
+
+    @property
+    def partition_task_id(self) -> TaskId:
+        return ("partition", self.graph_fingerprint, self.partitioner,
+                self.num_partitions, self.seed)
+
+    def _resolve_partition(self, graph: Graph, store: ArtifactStore,
+                           inputs: Dict[TaskId, Any]):
+        """Materialise the :class:`EdgePartition` a dependent task consumes.
+
+        The assignment arrives either in ``inputs`` (shipped by the
+        scheduler from the producing task's payload) or from the artifact
+        store (lazy load when the partition was cache-satisfied).
+        """
+        from ..partitioning import EdgePartition
+
+        payload = inputs.get(self.partition_task_id)
+        if payload is not None:
+            assignment = payload["assignment"]
+        else:
+            assignment = store.get(self.partition_task_id)
+            if assignment is None:
+                raise RuntimeError("partition artifact missing for task "
+                                   f"{self.partition_task_id!r}")
+        return EdgePartition(graph, self.num_partitions, assignment,
+                             self.partitioner)
 
 
 @dataclass(frozen=True)
@@ -100,16 +125,16 @@ class PropertiesTask:
 
     @property
     def task_id(self) -> TaskId:
-        if self.mode == "exact":
-            return ("properties", self.graph_fingerprint,
-                    self.exact_triangles, self.seed)
-        return ("properties", self.graph_fingerprint, self.exact_triangles,
-                self.seed, self.mode, self.wedge_budget)
+        return properties_artifact_key(self.graph_fingerprint,
+                                       self.exact_triangles, self.seed,
+                                       self.mode, self.wedge_budget)
 
     @property
     def dependencies(self) -> Tuple[TaskId, ...]:
         return ()
 
+    #: Not part of any ``(graph, partitioner, k)`` unit.
+    unit_key = None
     input_dependencies = ()
     checkpointable = True
 
@@ -135,7 +160,7 @@ class PropertiesTask:
 
 
 @dataclass(frozen=True)
-class PartitionTask:
+class PartitionTask(_UnitTask):
     """Produce the edge assignment of one ``(graph, partitioner, k)``.
 
     The payload (the |E|-sized assignment array) is the input of every
@@ -152,8 +177,7 @@ class PartitionTask:
 
     @property
     def task_id(self) -> TaskId:
-        return ("partition", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
+        return self.partition_task_id
 
     @property
     def dependencies(self) -> Tuple[TaskId, ...]:
@@ -185,7 +209,7 @@ class PartitionTask:
 
 
 @dataclass(frozen=True)
-class QualityTask:
+class QualityTask(_UnitTask):
     """Quality metrics of one partitioned graph (consumes the partition)."""
 
     graph_fingerprint: str
@@ -196,11 +220,6 @@ class QualityTask:
     @property
     def task_id(self) -> TaskId:
         return ("quality", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
-
-    @property
-    def partition_task_id(self) -> TaskId:
-        return ("partition", self.graph_fingerprint, self.partitioner,
                 self.num_partitions, self.seed)
 
     @property
@@ -223,15 +242,13 @@ class QualityTask:
         cached = store.get(self.task_id)
         if cached is not None:
             return cached
-        partition = _resolve_partition(graph, self.partition_task_id,
-                                       self.partitioner, self.num_partitions,
-                                       store, inputs)
+        partition = self._resolve_partition(graph, store, inputs)
         return store.put(self.task_id,
                          compute_quality_metrics(partition).as_dict())
 
 
 @dataclass(frozen=True)
-class PartitionTimeTask:
+class PartitionTimeTask(_UnitTask):
     """Partitioning run-time samples of one combination.
 
     ``timing_names`` lists the corpus-entry names needing a sample (the
@@ -259,11 +276,6 @@ class PartitionTimeTask:
                 self.time_mode, self.timing_names, self.repeats)
 
     @property
-    def partition_task_id(self) -> TaskId:
-        return ("partition", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
-
-    @property
     def dependencies(self) -> Tuple[TaskId, ...]:
         # Sequenced after the partition so wall-clock measurements never
         # contend with the "real" partitioner run of the same combination,
@@ -274,7 +286,6 @@ class PartitionTimeTask:
     checkpointable = True
 
     def _store_key(self, graph_name: str) -> TaskId:
-        # Same key as QualityJob.timing_key, so PR 1 caches stay warm.
         return ("partitioning_time", self.graph_fingerprint, graph_name,
                 self.partitioner, self.num_partitions, self.seed,
                 self.time_mode)
@@ -319,19 +330,15 @@ class PartitionTimeTask:
             # The simulated run-time jitters deterministically per graph
             # *name*; evaluate the cost model under the name of the corpus
             # entry that asked, not of the representative graph object.
-            original_name = graph.name
-            try:
-                graph.name = graph_name
-                seconds = PartitioningCostModel().estimate_seconds(
-                    graph, self.partitioner, self.num_partitions)
-            finally:
-                graph.name = original_name
+            seconds = PartitioningCostModel().estimate_seconds(
+                graph, self.partitioner, self.num_partitions,
+                graph_name=graph_name)
             store.put(key, seconds)
         return {"seconds": seconds, "seconds_std": 0.0, "repeats": 1}
 
 
 @dataclass(frozen=True)
-class ProcessingTask:
+class ProcessingTask(_UnitTask):
     """One workload execution on one partitioned graph in the simulator."""
 
     graph_fingerprint: str
@@ -343,14 +350,13 @@ class ProcessingTask:
 
     @property
     def task_id(self) -> TaskId:
+        cluster = self.cluster
+        signature = None if cluster is None else (
+            cluster.num_machines, cluster.edge_compute_cost,
+            cluster.vertex_compute_cost, cluster.network_bandwidth,
+            cluster.network_latency)
         return ("processing", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.algorithm, self.seed,
-                _cluster_signature(self.cluster))
-
-    @property
-    def partition_task_id(self) -> TaskId:
-        return ("partition", self.graph_fingerprint, self.partitioner,
-                self.num_partitions, self.seed)
+                self.num_partitions, self.algorithm, self.seed, signature)
 
     @property
     def dependencies(self) -> Tuple[TaskId, ...]:
@@ -372,9 +378,7 @@ class ProcessingTask:
         cached = store.get(self.task_id)
         if cached is not None:
             return cached
-        partition = _resolve_partition(graph, self.partition_task_id,
-                                       self.partitioner, self.num_partitions,
-                                       store, inputs)
+        partition = self._resolve_partition(graph, store, inputs)
         engine = ProcessingEngine(self.cluster)
         algorithm = create_algorithm(self.algorithm, seed=self.seed)
         outcome = engine.run(partition, algorithm)

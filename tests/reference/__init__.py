@@ -1,4 +1,5 @@
-"""Reference oracles: the seed formulations of every kernelized algorithm.
+"""Reference oracles: the seed formulations of every kernelized algorithm
+and of the profiling pipeline.
 
 Each function here is the straightforward per-edge / per-vertex Python loop
 that the production numpy kernel in ``src/repro`` replaced, kept verbatim and
@@ -13,6 +14,8 @@ given the same array signature as the kernel it checks:
   ``repro.graph.property_engine.local_clustering_from_triangles``
 * ``sampled_triangle_stats_sets`` ↔
   ``repro.graph.property_engine.sampled_triangle_stats_engine``
+* ``sequential_profile`` ↔ ``repro.ease.GraphProfiler.profile`` (plan → task
+  DAG → backend → merge), compared record for record
 
 ``tests/test_reference_oracle.py`` asserts byte-identical results between
 the two sides.  Nothing under ``src/`` imports this package.
@@ -26,6 +29,7 @@ from .partitioning import (
     hep_loop_stream,
     two_ps_loop_assign,
 )
+from .profiling import sequential_profile
 from .properties import (
     local_clustering_sets,
     sampled_triangle_stats_sets,
@@ -59,4 +63,5 @@ __all__ = [
     "triangle_counts_sets",
     "local_clustering_sets",
     "sampled_triangle_stats_sets",
+    "sequential_profile",
 ]

@@ -56,6 +56,18 @@ class TestPartitioningCostModel:
         b = PartitioningCostModel().estimate_seconds(graph, "ne", 8)
         assert a == b
 
+    def test_graph_name_argument_keys_the_jitter(self, graph):
+        model = PartitioningCostModel()
+        renamed = generate_rmat(512, 5000, seed=4)
+        renamed.name = "some-other-name"
+        assert (model.estimate_seconds(graph, "ne", 8,
+                                       graph_name="some-other-name")
+                == model.estimate_seconds(renamed, "ne", 8))
+        assert (model.estimate_seconds(graph, "ne", 8, graph_name=graph.name)
+                == model.estimate_seconds(graph, "ne", 8))
+        assert (model.estimate_seconds(renamed, "ne", 8)
+                != model.estimate_seconds(graph, "ne", 8))
+
     def test_hdrf_cost_grows_with_partition_count(self, graph):
         model = PartitioningCostModel(noise=0.0)
         assert (model.estimate_seconds(graph, "hdrf", 64)

@@ -211,12 +211,12 @@ class TestBatchAndMemoization:
                                   store=fresh) == first
 
     def test_store_key_matches_properties_job(self):
-        from repro.runtime.jobs import PropertiesJob
+        from repro.runtime.tasks import PropertiesTask
 
         graph = generate_rmat(64, 300, seed=1)
         fingerprint = graph_fingerprint(graph)
-        job = PropertiesJob(fingerprint, False, 0)
-        assert properties_artifact_key(fingerprint, False, 0) == job.key
+        task = PropertiesTask(fingerprint, False, 0)
+        assert properties_artifact_key(fingerprint, False, 0) == task.task_id
 
     def test_store_bypassed_for_non_default_sample_size(self, tmp_path):
         graph = generate_rmat(128, 900, seed=4)

@@ -13,12 +13,20 @@ buffer) rather than closeness:
   implementation; for them the row pins run-to-run determinism;
 * exact triangle counts, local clustering coefficients and the sampled
   estimator × the same graphs × block sizes small enough to force many block
-  boundaries.
+  boundaries;
+* the profiling runtime — every backend × both dispatch granularities ×
+  {cold, warm artifact cache, resumed from a truncated checkpoint} — against
+  the seed's sequential profiler loops, record for record, on a corpus that
+  makes the plan deduplicate across phases and across equal-content entries;
+  plus the literal task ids of one tiny plan, because a drifted id does not
+  fail anything else: it silently cold-starts every cache and checkpoint.
 
 A future implementation tier is admitted by adding its row here.
 """
 
 import functools
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -27,8 +35,10 @@ from reference import (
     local_clustering_sets,
     reference_loops,
     sampled_triangle_stats_sets,
+    sequential_profile,
     triangle_counts_sets,
 )
+from repro.ease import GraphProfiler
 from repro.generators import generate_realworld_graph, generate_rmat
 from repro.graph import Graph
 from repro.graph.property_engine import (
@@ -38,6 +48,9 @@ from repro.graph.property_engine import (
     triangle_counts_engine,
 )
 from repro.partitioning import ALL_PARTITIONER_NAMES, create_partitioner
+from repro.runtime import ProfileExecutor, build_dataset, build_task_graph
+from repro.runtime.tasks import PropertiesTask
+from repro.serving.registry import dataset_fingerprint
 
 ORACLE_K_GRID = (2, 8, 32, 63, 64, 100)
 BLOCK_PAIRS_GRID = (5, 7, DEFAULT_BLOCK_PAIRS)
@@ -97,3 +110,167 @@ def test_sampled_stats_match_reference(graph_name, block_pairs):
             graph, sample_size, seed, block_pairs=block_pairs)
         assert production == sampled_triangle_stats_sets(graph, sample_size,
                                                          seed)
+
+
+# --------------------------------------------------------------------------- #
+# Profiling runtime vs. the sequential profiler loops
+# --------------------------------------------------------------------------- #
+PROFILE_GRID = dict(partitioner_names=("2d", "dbh", "hdrf"),
+                    # The processing k is one of the quality counts, so both
+                    # phases meet in one unit (cross-phase deduplication).
+                    partition_counts=(2, 4), processing_partition_count=2,
+                    algorithms=("pagerank", "connected_components"), seed=0)
+
+
+def _renamed(graph: Graph, name: str, graph_type: str) -> Graph:
+    return Graph(graph.src.copy(), graph.dst.copy(),
+                 num_vertices=graph.num_vertices, name=name,
+                 graph_type=graph_type)
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_corpus():
+    """Two distinct graphs plus an equal-content, differently named twin of
+    the first (one unit, two timing samples)."""
+    first, second = (generate_rmat(64, 300, seed=s, graph_type="rmat")
+                     for s in range(2))
+    return first, second, _renamed(first, "twin", "soc")
+
+
+def _sequential(corpus):
+    return sequential_profile(
+        corpus, corpus, PROFILE_GRID["partitioner_names"],
+        PROFILE_GRID["partition_counts"],
+        PROFILE_GRID["processing_partition_count"],
+        PROFILE_GRID["algorithms"], seed=PROFILE_GRID["seed"])
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_reference():
+    return _sequential(_profile_corpus())
+
+
+def _profile_plan():
+    corpus = _profile_corpus()
+    return GraphProfiler(**PROFILE_GRID).build_plan(corpus, corpus)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Cache directory and checkpoint left behind by one complete run."""
+    directory = tmp_path_factory.mktemp("finished-run")
+    cache_dir = str(directory / "cache")
+    checkpoint = str(directory / "profile.checkpoint")
+    ProfileExecutor(cache_dir=cache_dir, checkpoint_path=checkpoint,
+                    checkpoint_every=1).run(_profile_plan())
+    return cache_dir, checkpoint
+
+
+@pytest.mark.parametrize("state", ("cold", "warm", "resumed"))
+@pytest.mark.parametrize("granularity", ("task", "unit"))
+@pytest.mark.parametrize("backend", ("inline", "process", "worker"))
+def test_profile_matches_sequential_reference(backend, granularity, state,
+                                              finished_run, tmp_path):
+    cache_dir = checkpoint = None
+    if state == "warm":
+        cache_dir = shutil.copytree(finished_run[0], str(tmp_path / "cache"))
+    elif state == "resumed":
+        checkpoint = shutil.copy(finished_run[1], str(tmp_path / "checkpoint"))
+        # Cut mid-frame: the journal keeps the intact frames before the cut.
+        os.truncate(checkpoint, os.path.getsize(checkpoint) // 2)
+    plan = _profile_plan()
+    results, stats = ProfileExecutor(
+        jobs=2, cache_dir=cache_dir, checkpoint_path=checkpoint,
+        backend=backend, granularity=granularity).run(plan)
+    dataset, reference = build_dataset(plan, results), _profile_reference()
+
+    assert dataset.quality == reference.quality
+    assert dataset.partitioning_time == reference.partitioning_time
+    assert dataset.processing == reference.processing
+    assert dataset_fingerprint(dataset) == dataset_fingerprint(reference)
+    names = {record.graph_name for record in dataset.partitioning_time}
+    assert names == {graph.name for graph in _profile_corpus()}
+    if state == "cold":
+        assert stats.executed_tasks == stats.total_tasks
+        assert stats.partitions_computed == stats.unique_partition_jobs
+    elif state == "warm":
+        assert stats.partitions_computed == 0
+        assert stats.cache_hit_tasks == stats.total_tasks
+    else:
+        assert 0 < stats.checkpoint_tasks < stats.total_tasks
+        assert stats.executed_tasks > 0
+
+
+class _PinnedNameGraph(Graph):
+    """A graph whose name can be set once (by ``Graph.__init__``) only."""
+
+    @property
+    def name(self):
+        return self._name
+
+    @name.setter
+    def name(self, value):
+        if hasattr(self, "_name"):
+            raise AttributeError("the caller's graph was renamed")
+        self._name = value
+
+
+def test_equal_content_entries_are_timed_without_renaming_the_graph():
+    # Inline tasks run on the caller's own Graph objects; the twin's timing
+    # sample must be taken under the twin's name without touching the one
+    # representative object both entries share.
+    first = _profile_corpus()[0]
+    shared = _PinnedNameGraph(first.src, first.dst,
+                              num_vertices=first.num_vertices,
+                              name=first.name, graph_type=first.graph_type)
+    corpus = (shared, _renamed(first, "twin", "soc"))
+    dataset = GraphProfiler(**PROFILE_GRID).profile(corpus, corpus)
+    assert dataset.partitioning_time == _sequential(corpus).partitioning_time
+    seconds = {name: [record.seconds for record in dataset.partitioning_time
+                      if record.graph_name == name]
+               for name in (shared.name, "twin")}
+    assert seconds[shared.name] != seconds["twin"]
+    assert shared.name == first.name
+
+
+# The content fingerprints of these two graphs root the pinned ids below.
+_PINNED_TRIANGLE = [(0, 1), (1, 2), (2, 0), (2, 3)]
+_PINNED_SQUARE = [(0, 1), (1, 2), (3, 2), (0, 3), (1, 3)]
+_FP_A, _FP_B = "aef4fc6529f52251dc2a", "c5ed983c96c0cdf73d42"
+_PINNED_CLUSTER = (2, 2e-07, 1e-06, 200000.0, 0.002)
+PINNED_TASK_IDS = [
+    ("properties", _FP_A, False, 7),
+    ("properties", _FP_B, False, 7),
+    ("partition", _FP_A, "2d", 2, 7),
+    ("quality", _FP_A, "2d", 2, 7),
+    ("partitioning_time_task", _FP_A, "2d", 2, 7, "model", ("a", "twin"), 1),
+    ("processing", _FP_A, "2d", 2, "pagerank", 7, _PINNED_CLUSTER),
+    ("partition", _FP_A, "2d", 4, 7),
+    ("quality", _FP_A, "2d", 4, 7),
+    ("partitioning_time_task", _FP_A, "2d", 4, 7, "model", ("a", "twin"), 1),
+    ("partition", _FP_B, "2d", 2, 7),
+    ("quality", _FP_B, "2d", 2, 7),
+    ("partitioning_time_task", _FP_B, "2d", 2, 7, "model", ("b",), 1),
+    ("partition", _FP_B, "2d", 4, 7),
+    ("quality", _FP_B, "2d", 4, 7),
+    ("partitioning_time_task", _FP_B, "2d", 4, 7, "model", ("b",), 1),
+    ("properties", "fp", True, 3, "approximate", 500),
+]
+
+
+def test_task_ids_are_pinned():
+    """Task ids are the keys of every cache directory and checkpoint in the
+    field; this list was produced by the commit before the ``*Job`` records
+    were deleted and must never change."""
+    triangle = Graph.from_edges(_PINNED_TRIANGLE, name="a", graph_type="rmat")
+    square = Graph.from_edges(_PINNED_SQUARE, name="b", graph_type="rmat")
+    profiler = GraphProfiler(partitioner_names=("2d",),
+                             partition_counts=(2, 4),
+                             processing_partition_count=2,
+                             algorithms=("pagerank",), seed=7)
+    plan = profiler.build_plan(
+        [triangle, _renamed(triangle, "twin", "soc"), square], [triangle])
+    task_ids = list(build_task_graph(plan).tasks)
+    task_ids.append(PropertiesTask("fp", True, 3, mode="approximate",
+                                   wedge_budget=500).task_id)
+    assert task_ids == PINNED_TASK_IDS

@@ -7,22 +7,16 @@ loops, while never partitioning the same ``(graph, partitioner, k)``
 combination twice in one run.
 """
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.generators import generate_rmat
+from reference import sequential_profile
 from repro.graph import Graph, compute_properties
-from repro.partitioning import compute_quality_metrics, create_partitioner
-from repro.processing import ProcessingEngine, create_algorithm
 from repro.ease import EASE, GraphProfiler, ProfileDataset
-from repro.ease.dataset import (
-    PartitioningTimeRecord,
-    ProcessingRecord,
-    QualityRecord,
-)
-from repro.ease.partitioning_cost import PartitioningCostModel
 from repro.ease.persistence import (
     append_dataset,
     canonical_sorted,
@@ -30,7 +24,7 @@ from repro.ease.persistence import (
     merge_datasets,
     save_dataset,
 )
-from repro.runtime import ArtifactStore, graph_fingerprint
+from repro.runtime import ArtifactStore, build_task_graph, graph_fingerprint
 from repro.runtime.executor import load_checkpoint, save_checkpoint
 from repro.cli import main
 
@@ -55,54 +49,9 @@ def make_profiler(**kwargs):
 
 
 def seed_path_reference(graphs) -> ProfileDataset:
-    """The original sequential profiler loops, replicated literally.
-
-    ``profile(graphs, graphs)`` of the seed implementation: the quality grid
-    over every ``(graph, partitioner, k)``, then the processing phase which
-    re-partitions every graph at the processing ``k``.
-    """
-    cost_model = PartitioningCostModel()
-    engine = ProcessingEngine(None)
-    dataset = ProfileDataset()
-    for graph in graphs:
-        properties = compute_properties(graph, exact_triangles=False,
-                                        seed=SEED)
-        for name in PARTITIONERS:
-            partitioner = create_partitioner(name, seed=SEED)
-            for k in PARTITION_COUNTS:
-                partition = partitioner(graph, k)
-                metrics = compute_quality_metrics(partition).as_dict()
-                dataset.quality.append(QualityRecord(
-                    graph.name, graph.graph_type, properties, name, k,
-                    metrics))
-                dataset.partitioning_time.append(PartitioningTimeRecord(
-                    graph.name, graph.graph_type, properties, name, k,
-                    cost_model.estimate_seconds(graph, name, k)))
-    for graph in graphs:
-        properties = compute_properties(graph, exact_triangles=False,
-                                        seed=SEED)
-        for name in PARTITIONERS:
-            partitioner = create_partitioner(name, seed=SEED)
-            partition = partitioner(graph, PROCESSING_K)
-            metrics = compute_quality_metrics(partition).as_dict()
-            dataset.quality.append(QualityRecord(
-                graph.name, graph.graph_type, properties, name, PROCESSING_K,
-                metrics))
-            dataset.partitioning_time.append(PartitioningTimeRecord(
-                graph.name, graph.graph_type, properties, name, PROCESSING_K,
-                cost_model.estimate_seconds(graph, name, PROCESSING_K)))
-            for algorithm_name in ALGORITHMS:
-                result = engine.run(partition,
-                                    create_algorithm(algorithm_name,
-                                                     seed=SEED))
-                target = (result.average_iteration_seconds
-                          if algorithm_name == "pagerank"
-                          else result.total_seconds)
-                dataset.processing.append(ProcessingRecord(
-                    graph.name, graph.graph_type, properties, name,
-                    PROCESSING_K, algorithm_name, metrics, target,
-                    result.total_seconds, result.num_supersteps))
-    return dataset
+    """``profile(graphs, graphs)`` by the seed's sequential loops."""
+    return sequential_profile(graphs, graphs, PARTITIONERS, PARTITION_COUNTS,
+                              PROCESSING_K, ALGORITHMS, seed=SEED)
 
 
 def assert_datasets_identical(actual: ProfileDataset,
@@ -177,7 +126,7 @@ class TestParallelCachedParity:
         sequential = EASE.train_from_graphs(
             subset, subset, profiler=make_profiler())
         parallel = EASE.train_from_graphs(
-            subset, subset, profiler=make_profiler(), jobs=2)
+            subset, subset, profiler=make_profiler(jobs=2))
         properties = compute_properties(subset[0], seed=SEED)
         for name in PARTITIONERS:
             lhs = sequential.predict_quality(properties, name, 2).as_dict()
@@ -261,14 +210,18 @@ class TestRuntimePrimitives:
 
     def test_work_units_deduplicate_overlapping_phases(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)
-        units = plan.work_units()
-        assert len(units) == len(plan.unique_partition_jobs())
-        assert len({(u.graph_fingerprint, u.partitioner, u.num_partitions)
-                    for u in units}) == len(units)
+        tasks = build_task_graph(plan).tasks.values()
+        partitions = [t for t in tasks if t.task_id[0] == "partition"]
+        # PROCESSING_K is one of PARTITION_COUNTS: both phases meet in one
+        # unit, so the quality grid alone fixes the number of partitions.
+        assert len(partitions) == (len(graphs) * len(PARTITIONERS)
+                                   * len(PARTITION_COUNTS))
+        assert len({t.unit_key for t in partitions}) == len(partitions)
         # The processing-k units carry the workloads of the processing phase.
-        with_algorithms = [u for u in units if u.algorithms]
+        with_algorithms = {t.unit_key for t in tasks
+                           if t.task_id[0] == "processing"}
         assert len(with_algorithms) == len(graphs) * len(PARTITIONERS)
-        assert all(u.num_partitions == PROCESSING_K for u in with_algorithms)
+        assert all(k == PROCESSING_K for _, _, k in with_algorithms)
 
     def test_artifact_store_roundtrip(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
@@ -322,6 +275,19 @@ class TestPartialDatasetPersistence:
                                   canonical_sorted(reference))
 
 
+#: The ``run`` object of ``repro profile --stats-json``: a file format, so
+#: spelled out here rather than derived from the dataclass that writes it.
+STATS_JSON_RUN_KEYS = {
+    "total_units", "executed_units", "cache_hit_units", "checkpoint_units",
+    "cache_hit_rate", "partitions_computed", "partition_slots_enumerated",
+    "unique_partition_jobs", "duplicate_partitions_avoided",
+    "properties_total", "properties_computed", "total_tasks",
+    "executed_tasks", "cache_hit_tasks", "checkpoint_tasks", "backend",
+    "retried_tasks", "deadline_failures", "quarantined_tasks",
+    "skipped_tasks", "quarantines",
+}
+
+
 class TestCLIParallelProfiling:
     def test_profile_with_jobs_cache_and_resume(self, graphs, tmp_path,
                                                 capsys):
@@ -333,18 +299,30 @@ class TestCLIParallelProfiling:
             save_npz(graph, str(graphs_dir / f"g{index}.npz"))
         output = str(tmp_path / "profile.pkl")
         cache_dir = str(tmp_path / "cache")
+        stats_path = str(tmp_path / "stats.json")
         arguments = ["profile", "--graphs", str(graphs_dir),
                      "--output", output,
                      "--partitioners", "2d", "dbh",
                      "--algorithms", "pagerank",
                      "--partition-counts", "2",
                      "--processing-partitions", "2",
-                     "--jobs", "2", "--cache-dir", cache_dir]
+                     "--jobs", "2", "--cache-dir", cache_dir,
+                     "--stats-json", stats_path]
         assert main(arguments) == 0
         cold = load_dataset(output)
         assert not os.path.exists(output + ".checkpoint")
+        with open(stats_path, encoding="utf-8") as handle:
+            run = json.load(handle)["run"]
+        assert set(run) == STATS_JSON_RUN_KEYS
+        assert run["unique_partition_jobs"] == run["partitions_computed"] == 4
+        assert run["cache_hit_rate"] == 0.0
 
         assert main(arguments + ["--resume"]) == 0
         warm = load_dataset(output)
         assert_datasets_identical(warm, cold)
         assert "cache hit rate=100%" in capsys.readouterr().out
+        with open(stats_path, encoding="utf-8") as handle:
+            run = json.load(handle)["run"]
+        assert set(run) == STATS_JSON_RUN_KEYS
+        assert run["cache_hit_rate"] == 1.0
+        assert run["cache_hit_tasks"] == run["total_tasks"]

@@ -81,17 +81,19 @@ class TestTaskGraphShape:
     def test_unit_decomposes_into_design_dag(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)
         task_graph = build_task_graph(plan)
-        units = plan.work_units()
         by_kind = {}
-        for task_id in task_graph.tasks:
-            by_kind.setdefault(task_id[0], []).append(task_id)
+        for task_id, task in task_graph.tasks.items():
+            by_kind.setdefault(task_id[0], []).append(task)
+        units = {task.unit_key for task in by_kind["partition"]}
+        assert len(units) == len(graphs) * len(PARTITIONERS)
         assert len(by_kind["properties"]) == len(graphs)
-        assert len(by_kind["partition"]) == len(units)
-        assert len(by_kind["quality"]) == len(units)
-        assert len(by_kind["partitioning_time_task"]) == len(units)
-        processing_units = [unit for unit in units if unit.algorithms]
-        assert len(by_kind["processing"]) == (len(processing_units)
-                                              * len(ALGORITHMS))
+        assert all(task.unit_key is None for task in by_kind["properties"])
+        for kind in ("partition", "quality", "partitioning_time_task"):
+            assert len(by_kind[kind]) == len(units)
+            assert {task.unit_key for task in by_kind[kind]} == units
+        processing_units = {task.unit_key for task in by_kind["processing"]}
+        assert processing_units == units  # every unit is at PROCESSING_K
+        assert len(by_kind["processing"]) == len(units) * len(ALGORITHMS)
 
     def test_dependencies_point_at_the_partition(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)

@@ -28,7 +28,6 @@ from repro.graph import (
 )
 from repro.graph.property_engine import _oriented_pair_count
 from repro.runtime import ArtifactStore
-from repro.runtime.jobs import PropertiesJob
 from repro.runtime.tasks import PropertiesTask
 
 
@@ -250,17 +249,17 @@ class TestModeCacheSeparation:
         assert len(store._memory) == 3
 
     def test_properties_job_and_task_keys(self):
-        legacy = PropertiesJob("fp", True, 0)
-        assert legacy.key == ("properties", "fp", True, 0)
-        approx_job = PropertiesJob("fp", True, 0, mode="approximate",
-                                   wedge_budget=1000)
-        assert approx_job.key == ("properties", "fp", True, 0,
-                                  "approximate", 1000)
+        # The task id is the artifact key: exact keeps the legacy
+        # four-element tuple, approximate carries mode and budget.
         legacy_task = PropertiesTask("fp", True, 0)
-        assert legacy_task.task_id == legacy.key
+        assert legacy_task.task_id == ("properties", "fp", True, 0)
+        assert legacy_task.task_id == properties_artifact_key("fp", True, 0)
         approx_task = PropertiesTask("fp", True, 0, mode="approximate",
                                      wedge_budget=1000)
-        assert approx_task.task_id == approx_job.key
+        assert approx_task.task_id == ("properties", "fp", True, 0,
+                                       "approximate", 1000)
+        assert approx_task.task_id == properties_artifact_key(
+            "fp", True, 0, mode="approximate", wedge_budget=1000)
 
     def test_properties_task_executes_approximate(self):
         graph = _sampling_graph(seed=4)
