@@ -32,7 +32,6 @@ from .two_ps import TwoPhaseStreamingPartitioner
 from .ne import NeighborhoodExpansionPartitioner
 from .hep import HybridEdgePartitioner
 from .registry import (
-    PARTITIONER_FACTORIES,
     ALL_PARTITIONER_NAMES,
     create_partitioner,
     create_all_partitioners,
@@ -66,7 +65,6 @@ __all__ = [
     "TwoPhaseStreamingPartitioner",
     "NeighborhoodExpansionPartitioner",
     "HybridEdgePartitioner",
-    "PARTITIONER_FACTORIES",
     "ALL_PARTITIONER_NAMES",
     "create_partitioner",
     "create_all_partitioners",

@@ -19,8 +19,10 @@ numpy blocks:
   (for ``balance_weight <= 1`` a partition already holding a replica always
   strictly beats every replica-free partition) to skip the argmax over all
   ``k`` partitions on most edges;
-* edges are materialized blockwise (``DEFAULT_BLOCK_SIZE``) so the kernel
-  never holds more than one block of unboxed scalars at a time.
+* the per-edge pass itself, :func:`stream_assign`, exists once — HDRF, 2PS
+  and HEP's streaming phase only configure it — and materializes edges
+  blockwise (``BLOCK_SIZE``) so it never holds more than one block of
+  unboxed scalars at a time.
 
 Exact equality with the sequential loops holds because every floating-point
 value is computed with the same elementwise operations in the same order as
@@ -32,6 +34,7 @@ byte-identical assignments between each kernel and its loop.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import List, Optional, Tuple
 
@@ -41,12 +44,12 @@ from ..obs import get_registry
 
 __all__ = [
     "BITMASK_MAX_PARTITIONS",
-    "DEFAULT_BLOCK_SIZE",
     "use_replica_bitmask",
     "streaming_partial_degrees",
     "replication_coefficients",
     "replication_balance_scores",
     "StreamingScoreState",
+    "stream_assign",
     "hdrf_kernel_assign",
     "two_ps_kernel_assign",
     "hep_kernel_stream",
@@ -61,8 +64,11 @@ __all__ = [
 #: paths so the two can never disagree.
 BITMASK_MAX_PARTITIONS = 63
 
-#: Edges materialized (unboxed from numpy) per block in the kernel loops.
-DEFAULT_BLOCK_SIZE = 1 << 15
+#: Edges materialized (unboxed from numpy) per block of :func:`stream_assign`.
+BLOCK_SIZE = 1 << 15
+
+#: The ``eps`` of the balance term's denominator (HDRF's, shared by all three).
+EPSILON = 1.0
 
 _NEG_INF = float("-inf")
 
@@ -200,24 +206,30 @@ class StreamingScoreState:
     Ties are broken exactly like ``np.argmax``: the lowest index attaining
     the maximum wins.  With a ``capacity``, partitions at capacity score
     ``-inf`` (they are skipped as candidates and masked in the cached
-    vector); :meth:`pick` returns ``-1`` when every partition is at capacity
-    so the caller can apply its own overflow policy.
+    vector).  Once *every* partition is at capacity :meth:`pick` follows the
+    ``overflow`` policy the state was built with — ``"least_loaded"``: the
+    smallest partition takes the edge (2PS); ``"unmasked"``: the capacity
+    mask is dropped and the raw score vector decides (HEP) — so it always
+    returns a partition.
     """
 
     #: Replica-set unions larger than this are scored with the dense
-    #: (vectorized) path instead of per-bit iteration; crossover measured on
-    #: the throughput benchmark.
+    #: (vectorized) path instead of per-bit iteration.  Both sides are
+    #: checked against the reference loops by the oracle rows at ``k`` = 32
+    #: and 33 (``tests/test_reference_oracle.py``).
     SPARSE_LIMIT = 32
 
     def __init__(self, num_vertices: int, num_partitions: int,
-                 balance_weight: float = 1.0, epsilon: float = 1.0,
-                 capacity: Optional[float] = None) -> None:
+                 balance_weight: float = 1.0,
+                 capacity: Optional[float] = None,
+                 overflow: str = "least_loaded") -> None:
+        if overflow not in ("least_loaded", "unmasked"):
+            raise ValueError(f"unknown overflow policy {overflow!r}")
         self.num_partitions = num_partitions
         self.balance_weight = balance_weight
-        self.epsilon = epsilon
         self.capacity = capacity
+        self.overflow = overflow
         self.num_vertices = num_vertices
-        self.sizes_np = np.zeros(num_partitions, dtype=np.int64)
         self._sizes: List[int] = [0] * num_partitions
         self.replicas: List[int] = [0] * num_vertices
         # Dense mirror of ``replicas`` for the vectorized scoring path,
@@ -235,7 +247,7 @@ class StreamingScoreState:
         self._size_counts = {0: num_partitions}
         self._full_mask = 0
         self._full_indices: List[int] = []
-        self._num_full = 0
+        self._all_full = False
         self._dominance = 0.0 <= balance_weight <= 1.0
         # Below the sparse limit the dense path never runs, so the balance
         # vector lives purely as a Python list (no numpy mirror to patch —
@@ -246,37 +258,49 @@ class StreamingScoreState:
         self._recompute_balance()
 
     # ------------------------------------------------------------------ #
-    def seed(self, sizes: np.ndarray, replicas: List[int],
-             replica_matrix: Optional[np.ndarray] = None) -> None:
-        """Adopt partition sizes and replica bitmasks produced by an earlier
-        phase (HEP's in-memory expansion)."""
-        self.sizes_np = sizes.astype(np.int64)
-        self._sizes = self.sizes_np.tolist()
-        values, counts = np.unique(self.sizes_np, return_counts=True)
+    def seed_from_assignment(self, src: np.ndarray, dst: np.ndarray,
+                             assignment: np.ndarray) -> None:
+        """On a fresh state, adopt the sizes and replica sets of the edges
+        (``assignment >= 0``) that HEP's in-memory expansion already placed."""
+        k = self.num_partitions
+        assigned = np.flatnonzero(assignment >= 0)
+        partitions = assignment[assigned]
+        sizes = np.bincount(partitions, minlength=k)
+        self._sizes = sizes.tolist()
+        values, counts = np.unique(sizes, return_counts=True)
         self._size_counts = dict(zip(values.tolist(), counts.tolist()))
-        self.max_size = int(self.sizes_np.max())
-        self.min_size = int(self.sizes_np.min())
-        self.replicas = replicas
-        if replica_matrix is not None:
-            self._replica_matrix = replica_matrix
-            self._matrix_synced = list(replicas)
+        self.max_size = int(sizes.max())
+        self.min_size = int(sizes.min())
+        if use_replica_bitmask(k):
+            # int64 fast path: vectorized scatter-or, then unboxed.  The dense
+            # replica matrix (if ever needed) is rebuilt lazily from the masks.
+            mask = np.zeros(self.num_vertices, dtype=np.int64)
+            bits = np.int64(1) << partitions
+            np.bitwise_or.at(mask, src[assigned], bits)
+            np.bitwise_or.at(mask, dst[assigned], bits)
+            self.replicas = mask.tolist()
         else:
-            # Rebuilt lazily from ``replicas`` on the first dense pick.
-            self._replica_matrix = None
-            self._matrix_synced = None
+            # Above the cutoff: build the dense matrix once and derive the
+            # Python-int bitmasks from it by packing rows.
+            matrix = np.zeros((self.num_vertices, k), dtype=bool)
+            matrix[src[assigned], partitions] = True
+            matrix[dst[assigned], partitions] = True
+            packed = np.packbits(matrix, axis=1, bitorder="little")
+            self.replicas = [int.from_bytes(row.tobytes(), "little")
+                             for row in packed]
+            self._replica_matrix = matrix
+            self._matrix_synced = list(self.replicas)
         if self.capacity is not None:
-            for p, size in enumerate(self._sizes):
-                if size >= self.capacity:
-                    self._full_mask |= 1 << p
-                    self._full_indices.append(p)
-            self._num_full = len(self._full_indices)
+            self._full_indices = [p for p, size in enumerate(self._sizes)
+                                  if size >= self.capacity]
+            self._full_mask = sum(1 << p for p in self._full_indices)
+            self._all_full = len(self._full_indices) == k
         self._recompute_balance()
 
     def sizes_array(self) -> np.ndarray:
         """Current partition sizes as an int64 array (built on demand; the
         hot path only maintains the unboxed list)."""
-        self.sizes_np = np.asarray(self._sizes, dtype=np.int64)
-        return self.sizes_np
+        return np.asarray(self._sizes, dtype=np.int64)
 
     def _recompute_balance(self) -> None:
         if self._small:
@@ -284,7 +308,7 @@ class StreamingScoreState:
             # on Python floats (IEEE-754 doubles either way).
             weight = self.balance_weight
             max_size = self.max_size
-            denominator = self.epsilon + max_size - self.min_size
+            denominator = EPSILON + max_size - self.min_size
             balance_list = [weight * (max_size - size) / denominator
                             for size in self._sizes]
             for p in self._full_indices:
@@ -292,7 +316,7 @@ class StreamingScoreState:
             self._balance = balance_list
             return
         balance = (self.balance_weight * (self.max_size - self.sizes_array())
-                   / (self.epsilon + self.max_size - self.min_size))
+                   / (EPSILON + self.max_size - self.min_size))
         if self._full_indices:
             balance[self._full_indices] = -np.inf
         self._balance_np = balance
@@ -300,8 +324,15 @@ class StreamingScoreState:
 
     # ------------------------------------------------------------------ #
     def pick(self, u: int, v: int, coeff_u: float, coeff_v: float) -> int:
-        """Partition the sequential loop's ``np.argmax`` would select, or -1
-        when every partition is at capacity."""
+        """Partition the sequential loop would select (its ``np.argmax``,
+        or its overflow rule once every partition is at capacity)."""
+        if self._all_full:
+            if self.overflow == "least_loaded":
+                return int(self.sizes_array().argmin())
+            return int(np.argmax(replication_balance_scores(
+                self.replica_membership(u), self.replica_membership(v),
+                coeff_u, coeff_v, self.sizes_array(), self.max_size,
+                self.min_size, self.balance_weight, EPSILON)))
         mask_u = self.replicas[u]
         mask_v = self.replicas[v]
         union = mask_u | mask_v
@@ -311,8 +342,6 @@ class StreamingScoreState:
             # cached balance vector already carries -inf at full partitions,
             # and adding the finite replication term preserves it — identical
             # to the loop masking after the sum.
-            if self._num_full == self.num_partitions:
-                return -1
             matrix = self._replica_matrix
             if matrix is None:
                 matrix = self._replica_matrix = np.zeros(
@@ -431,7 +460,7 @@ class StreamingScoreState:
                 and not (self._full_mask >> partition) & 1):
             self._full_mask |= 1 << partition
             self._full_indices.append(partition)
-            self._num_full += 1
+            self._all_full = len(self._full_indices) == self.num_partitions
             extrema_moved = True  # force the -inf into the cached vector
         if extrema_moved:
             self._recompute_balance()
@@ -440,19 +469,13 @@ class StreamingScoreState:
                 value = _NEG_INF
             else:
                 value = (self.balance_weight * (self.max_size - new_size)
-                         / (self.epsilon + self.max_size - self.min_size))
+                         / (EPSILON + self.max_size - self.min_size))
             self._balance[partition] = value
             if not self._small:
                 self._balance_np[partition] = value
         bit = 1 << partition
         self.replicas[u] |= bit
         self.replicas[v] |= bit
-
-    def place(self, u: int, v: int, coeff_u: float, coeff_v: float) -> int:
-        """``pick`` + ``assign`` in one call (the HDRF hot loop)."""
-        partition = self.pick(u, v, coeff_u, coeff_v)
-        self.assign(u, v, partition)
-        return partition
 
     # ------------------------------------------------------------------ #
     def replica_membership(self, vertex: int) -> np.ndarray:
@@ -464,19 +487,50 @@ class StreamingScoreState:
             membership[p] = 1
         return membership
 
-    def raw_scores(self, u: int, v: int, coeff_u: float,
-                   coeff_v: float) -> np.ndarray:
-        """Unmasked score vector (used by HEP when every partition is at
-        capacity, where the loop falls back to the raw argmax)."""
-        return replication_balance_scores(
-            self.replica_membership(u), self.replica_membership(v),
-            coeff_u, coeff_v, self.sizes_array(), self.max_size,
-            self.min_size, self.balance_weight, self.epsilon)
-
 
 # --------------------------------------------------------------------------- #
-# Per-partitioner kernels
+# The streaming pass and its three configurations
 # --------------------------------------------------------------------------- #
+def stream_assign(state: StreamingScoreState, src: np.ndarray,
+                  dst: np.ndarray, coeff_u: np.ndarray, coeff_v: np.ndarray,
+                  preferred: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                  ) -> np.ndarray:
+    """Place every edge of the stream, in order; returns the partitions.
+
+    The only per-edge pass over a scored stream.  An edge goes to the first
+    of its (at most two) ``preferred`` partitions — a pair of per-edge
+    arrays ``(first, second)``; none when omitted — that still has room
+    under the state's capacity, else to ``state.pick``; either way the
+    state accounts it before the next edge is looked at.
+    """
+    num_edges = src.shape[0]
+    chosen = np.empty(num_edges, dtype=np.int64)
+    sizes = state._sizes
+    capacity = state.capacity
+    pick = state.pick
+    assign = state.assign
+    candidates = itertools.repeat(())
+    for start in range(0, num_edges, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, num_edges)
+        if preferred is not None:
+            candidates = zip(preferred[0][start:stop].tolist(),
+                             preferred[1][start:stop].tolist())
+        block = zip(src[start:stop].tolist(), dst[start:stop].tolist(),
+                    coeff_u[start:stop].tolist(), coeff_v[start:stop].tolist(),
+                    candidates)
+        out = []
+        for u, v, cu, cv, edge_candidates in block:
+            for partition in edge_candidates:
+                if sizes[partition] < capacity:
+                    break
+            else:
+                partition = pick(u, v, cu, cv)
+            assign(u, v, partition)
+            out.append(partition)
+        chosen[start:stop] = out
+    return chosen
+
+
 def _observe_kernel_rate(kernel: str, num_edges: int, elapsed: float) -> None:
     """Record a kernel invocation's throughput in the metrics registry."""
     registry = get_registry()
@@ -492,135 +546,70 @@ def _observe_kernel_rate(kernel: str, num_edges: int, elapsed: float) -> None:
 
 
 def hdrf_kernel_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
-                       num_partitions: int, balance_weight: float,
-                       epsilon: float = 1.0,
-                       block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """HDRF assignment, identical to the sequential loop."""
+                       num_partitions: int,
+                       balance_weight: float) -> np.ndarray:
+    """HDRF assignment, identical to the sequential loop: partial-degree
+    coefficients, no capacity, no preferred partitions."""
     started = time.perf_counter()
-    num_edges = src.shape[0]
-    assignment = np.empty(num_edges, dtype=np.int64)
     deg_u, deg_v = streaming_partial_degrees(src, dst)
     coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="hdrf")
     state = StreamingScoreState(num_vertices, num_partitions,
-                                balance_weight=balance_weight, epsilon=epsilon)
-    place = state.place
-    for start in range(0, num_edges, block_size):
-        stop = min(start + block_size, num_edges)
-        block = zip(src[start:stop].tolist(), dst[start:stop].tolist(),
-                    coeff_u[start:stop].tolist(), coeff_v[start:stop].tolist())
-        assignment[start:stop] = [place(u, v, cu, cv)
-                                  for u, v, cu, cv in block]
-    _observe_kernel_rate("hdrf", num_edges, time.perf_counter() - started)
+                                balance_weight=balance_weight)
+    assignment = stream_assign(state, src, dst, coeff_u, coeff_v)
+    _observe_kernel_rate("hdrf", src.shape[0], time.perf_counter() - started)
     return assignment
 
 
 def two_ps_kernel_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
                          num_partitions: int, preferred: np.ndarray,
-                         capacity: float, balance_weight: float,
-                         epsilon: float = 1.0,
-                         block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
+                         capacity: float,
+                         balance_weight: float) -> np.ndarray:
     """2PS partitioning phase, identical to the (fixed) sequential loop.
 
-    ``preferred`` maps every vertex to the partition of its cluster.  Edges
-    whose cluster partitions have room take the fast path; the rest are
-    scored with the shared HDRF-style state.  When every partition is at
-    capacity the edge goes to the least-loaded partition (the
-    capacity-overflow fix, mirrored in the loop implementation).
+    ``preferred`` maps every vertex to the partition of its cluster.  An edge
+    tries the cluster partition of its lower-degree endpoint first, then the
+    other endpoint's (the same partition twice for an intra-cluster edge);
+    edges that find room in neither are scored with the shared HDRF-style
+    state.  When every partition is at capacity the edge goes to the
+    least-loaded partition (the capacity-overflow fix, mirrored in the loop
+    implementation).
     """
     started = time.perf_counter()
-    num_edges = src.shape[0]
-    assignment = np.empty(num_edges, dtype=np.int64)
     deg_u, deg_v = streaming_partial_degrees(src, dst)
     coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="2ps")
     state = StreamingScoreState(num_vertices, num_partitions,
                                 balance_weight=balance_weight,
-                                epsilon=epsilon, capacity=capacity)
-    preferred_list = preferred.tolist()
-    sizes = state._sizes
-    for start in range(0, num_edges, block_size):
-        stop = min(start + block_size, num_edges)
-        block = zip(src[start:stop].tolist(), dst[start:stop].tolist(),
-                    deg_u[start:stop].tolist(), deg_v[start:stop].tolist(),
-                    coeff_u[start:stop].tolist(), coeff_v[start:stop].tolist())
-        out = []
-        for u, v, du, dv, cu, cv in block:
-            pu = preferred_list[u]
-            pv = preferred_list[v]
-            if pu == pv and sizes[pu] < capacity:
-                chosen = pu
-            else:
-                first, second = (pu, pv) if du <= dv else (pv, pu)
-                if sizes[first] < capacity:
-                    chosen = first
-                elif sizes[second] < capacity:
-                    chosen = second
-                else:
-                    chosen = state.pick(u, v, cu, cv)
-                    if chosen < 0:
-                        # Capacity exhausted everywhere: least-loaded wins.
-                        chosen = int(state.sizes_array().argmin())
-            out.append(chosen)
-            state.assign(u, v, chosen)
-        assignment[start:stop] = out
-    _observe_kernel_rate("2ps", num_edges, time.perf_counter() - started)
+                                capacity=capacity, overflow="least_loaded")
+    u_first = deg_u <= deg_v
+    pu, pv = preferred[src], preferred[dst]
+    assignment = stream_assign(
+        state, src, dst, coeff_u, coeff_v,
+        preferred=(np.where(u_first, pu, pv), np.where(u_first, pv, pu)))
+    _observe_kernel_rate("2ps", src.shape[0], time.perf_counter() - started)
     return assignment
 
 
 def hep_kernel_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
                       num_partitions: int, assignment: np.ndarray,
-                      streamed_edges: np.ndarray, capacity: float,
-                      block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+                      streamed_edges: np.ndarray, capacity: float) -> None:
     """HEP streaming phase, identical to the sequential loop.
 
     Mutates ``assignment`` in place for the ``streamed_edges``, seeding the
     scoring state with the sizes and replica sets of the in-memory phase.
     HEP scores with the full static degrees and, unlike 2PS, drops the
     capacity mask entirely when every partition is at capacity (the loop's
-    behaviour), which is why the overflow path recomputes the raw score
-    vector.
+    behaviour).
     """
     started = time.perf_counter()
-    num_streamed = streamed_edges.shape[0]
-    num_vertices = degrees.shape[0]
-    deg_u = degrees[src[streamed_edges]]
-    deg_v = degrees[dst[streamed_edges]]
-    coeff_u, coeff_v = replication_coefficients(deg_u, deg_v, mode="hep")
-    state = StreamingScoreState(num_vertices, num_partitions,
-                                balance_weight=1.0, capacity=capacity)
-    assigned = np.flatnonzero(assignment >= 0)
-    seed_sizes = np.bincount(assignment[assigned], minlength=num_partitions)
-    partitions = assignment[assigned]
-    if use_replica_bitmask(num_partitions):
-        # int64 fast path: vectorized scatter-or, then unboxed.  The dense
-        # replica matrix (if ever needed) is rebuilt lazily from the masks.
-        mask = np.zeros(num_vertices, dtype=np.int64)
-        if assigned.size:
-            bits = np.int64(1) << partitions
-            np.bitwise_or.at(mask, src[assigned], bits)
-            np.bitwise_or.at(mask, dst[assigned], bits)
-        state.seed(seed_sizes, mask.tolist())
-    else:
-        # Above the cutoff: build the dense matrix once and derive the
-        # Python-int bitmasks from it by packing rows.
-        seed_matrix = np.zeros((num_vertices, num_partitions), dtype=bool)
-        if assigned.size:
-            seed_matrix[src[assigned], partitions] = True
-            seed_matrix[dst[assigned], partitions] = True
-        packed = np.packbits(seed_matrix, axis=1, bitorder="little")
-        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        state.seed(seed_sizes, masks, seed_matrix)
     src_streamed = src[streamed_edges]
     dst_streamed = dst[streamed_edges]
-    for start in range(0, num_streamed, block_size):
-        stop = min(start + block_size, num_streamed)
-        block = zip(streamed_edges[start:stop].tolist(),
-                    src_streamed[start:stop].tolist(),
-                    dst_streamed[start:stop].tolist(),
-                    coeff_u[start:stop].tolist(), coeff_v[start:stop].tolist())
-        for edge_id, u, v, cu, cv in block:
-            best = state.pick(u, v, cu, cv)
-            if best < 0:
-                best = int(np.argmax(state.raw_scores(u, v, cu, cv)))
-            assignment[edge_id] = best
-            state.assign(u, v, best)
-    _observe_kernel_rate("hep", num_streamed, time.perf_counter() - started)
+    coeff_u, coeff_v = replication_coefficients(
+        degrees[src_streamed], degrees[dst_streamed], mode="hep")
+    state = StreamingScoreState(degrees.shape[0], num_partitions,
+                                balance_weight=1.0, capacity=capacity,
+                                overflow="unmasked")
+    state.seed_from_assignment(src, dst, assignment)
+    assignment[streamed_edges] = stream_assign(state, src_streamed,
+                                               dst_streamed, coeff_u, coeff_v)
+    _observe_kernel_rate("hep", streamed_edges.shape[0],
+                         time.perf_counter() - started)

@@ -10,7 +10,7 @@ processing-time model (Section IV-E).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple, Type
 
 from .base import EdgePartitioner
 from .hashing import (
@@ -26,30 +26,24 @@ from .ne import NeighborhoodExpansionPartitioner
 from .hep import HybridEdgePartitioner
 
 __all__ = [
-    "PARTITIONER_FACTORIES",
     "ALL_PARTITIONER_NAMES",
     "create_partitioner",
     "create_all_partitioners",
 ]
 
-#: Factory per partitioner name.  Each factory takes a seed (plus optional
-#: partitioner-specific keyword overrides, e.g. ``balance_weight=5.0`` for
-#: HDRF) and returns a fresh partitioner instance.
-PARTITIONER_FACTORIES: Dict[str, Callable[..., EdgePartitioner]] = {
-    "1dd": lambda seed=0, **kw: OneDimDestinationPartitioner(seed=seed, **kw),
-    "1ds": lambda seed=0, **kw: OneDimSourcePartitioner(seed=seed, **kw),
-    "2d": lambda seed=0, **kw: TwoDimPartitioner(seed=seed, **kw),
-    "crvc": lambda seed=0, **kw: CanonicalRandomVertexCutPartitioner(
-        seed=seed, **kw),
-    "dbh": lambda seed=0, **kw: DegreeBasedHashingPartitioner(seed=seed, **kw),
-    "hdrf": lambda seed=0, **kw: HDRFPartitioner(seed=seed, **kw),
-    "2ps": lambda seed=0, **kw: TwoPhaseStreamingPartitioner(seed=seed, **kw),
-    "ne": lambda seed=0, **kw: NeighborhoodExpansionPartitioner(seed=seed, **kw),
-    "hep1": lambda seed=0, **kw: HybridEdgePartitioner(tau=1.0, seed=seed, **kw),
-    "hep10": lambda seed=0, **kw: HybridEdgePartitioner(tau=10.0, seed=seed,
-                                                        **kw),
-    "hep100": lambda seed=0, **kw: HybridEdgePartitioner(tau=100.0, seed=seed,
-                                                         **kw),
+#: Class and fixed constructor arguments per partitioner name.
+_PARTITIONERS: Dict[str, Tuple[Type[EdgePartitioner], Dict[str, Any]]] = {
+    "1dd": (OneDimDestinationPartitioner, {}),
+    "1ds": (OneDimSourcePartitioner, {}),
+    "2d": (TwoDimPartitioner, {}),
+    "crvc": (CanonicalRandomVertexCutPartitioner, {}),
+    "dbh": (DegreeBasedHashingPartitioner, {}),
+    "hdrf": (HDRFPartitioner, {}),
+    "2ps": (TwoPhaseStreamingPartitioner, {}),
+    "ne": (NeighborhoodExpansionPartitioner, {}),
+    "hep1": (HybridEdgePartitioner, {"tau": 1.0}),
+    "hep10": (HybridEdgePartitioner, {"tau": 10.0}),
+    "hep100": (HybridEdgePartitioner, {"tau": 100.0}),
 }
 
 #: The eleven partitioner names in the order used by the paper's figures.
@@ -68,12 +62,12 @@ def create_partitioner(name: str, seed: int = 0,
     HEP); a keyword the constructor does not take raises ``TypeError``.
     """
     try:
-        factory = PARTITIONER_FACTORIES[name]
+        cls, fixed = _PARTITIONERS[name]
     except KeyError as error:
         raise ValueError(
             f"unknown partitioner {name!r}; known partitioners: "
-            f"{sorted(PARTITIONER_FACTORIES)}") from error
-    return factory(seed, **overrides)
+            f"{sorted(_PARTITIONERS)}") from error
+    return cls(seed=seed, **fixed, **overrides)
 
 
 def create_all_partitioners(names: Sequence[str] = ALL_PARTITIONER_NAMES,

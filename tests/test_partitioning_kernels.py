@@ -93,6 +93,8 @@ class TestKernelLoopEquality:
                                   balance_slack=1.2).balance_slack == 1.2
         with pytest.raises(TypeError):
             create_partitioner("hdrf", use_kernel=False)
+        with pytest.raises(TypeError):
+            create_partitioner("hep1", tau=5.0)
 
 
 class TestTwoPSLargeKRegression:
@@ -230,13 +232,26 @@ class TestSharedScoringFormula:
                     + 1.0 * (5 - sizes) / (1.0 + 5 - 0))
         np.testing.assert_array_equal(scores, expected)
 
+    #: (k, capacity, overflow policy): the unconstrained state, then
+    #: capacities that fill some partitions early and all of them before the
+    #: stream ends, so each overflow policy decides the tail.
+    STATE_CASES = [(7, None, "least_loaded")] + [
+        (k, capacity, overflow)
+        for k, capacity in ((8, 20), (33, 6), (70, 3))
+        for overflow in ("least_loaded", "unmasked")]
+
     def test_state_matches_bruteforce_argmax(self):
+        for k, capacity, overflow in self.STATE_CASES:
+            self._check_state_against_bruteforce(k, capacity, overflow)
+
+    def _check_state_against_bruteforce(self, k, capacity, overflow):
         # Drive the incremental state with a random stream and compare every
-        # pick against the brute-force score vector.
+        # pick against the brute-force score vector under the loops' mask
+        # rules.
         rng = np.random.default_rng(0)
-        k = 7
         state = StreamingScoreState(num_vertices=10, num_partitions=k,
-                                    balance_weight=1.0)
+                                    balance_weight=1.0, capacity=capacity,
+                                    overflow=overflow)
         in_matrix = np.zeros((10, k), dtype=np.int64)
         sizes = np.zeros(k, dtype=np.int64)
         for _ in range(300):
@@ -246,10 +261,18 @@ class TestSharedScoringFormula:
             expected_scores = replication_balance_scores(
                 in_matrix[u], in_matrix[v], coeff_u, coeff_v, sizes,
                 sizes.max(), sizes.min(), 1.0, 1.0)
-            expected = int(np.argmax(expected_scores))
+            full = sizes >= (np.inf if capacity is None else capacity)
+            if not full.all():
+                expected_scores[full] = -np.inf
+            if full.all() and overflow == "least_loaded":
+                expected = int(np.argmin(sizes))
+            else:
+                expected = int(np.argmax(expected_scores))
             picked = state.pick(u, v, coeff_u, coeff_v)
-            assert picked == expected
+            assert picked == expected, (k, capacity, overflow)
+            assert picked >= 0
             state.assign(u, v, picked)
             in_matrix[u, picked] = 1
             in_matrix[v, picked] = 1
             sizes[picked] += 1
+        assert capacity is None or (sizes >= capacity).all()

@@ -5,7 +5,8 @@ buffer) rather than closeness:
 
 * every registry partitioner × k on both sides of the int64 replica-bitmask
   cutoff (63 | 64) and of ``StreamingScoreState.SPARSE_LIMIT`` (32) × skewed,
-  clustered and degenerate graphs.  The reference run swaps each streaming
+  clustered and degenerate graphs, plus the streaming partitioners under a
+  tight capacity and a large balance weight at the same k and 33.  The reference run swaps each streaming
   kernel for the seed loop with the same array signature
   (:func:`reference.reference_loops`), so the clustering, packing and
   in-memory expansion phases around it are shared and only the kernel is
@@ -78,15 +79,38 @@ def _assert_bytes_equal(production: np.ndarray, reference: np.ndarray):
     assert production.tobytes() == reference.tobytes()
 
 
+def _assert_partitioner_matches_reference(name, k, graph_name, **overrides):
+    graph = _graph(graph_name)
+    production = create_partitioner(name, **overrides)(graph, k).assignment
+    with reference_loops():
+        reference = create_partitioner(name, **overrides)(graph, k).assignment
+    _assert_bytes_equal(production, reference)
+
+
 @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
 @pytest.mark.parametrize("k", ORACLE_K_GRID)
 @pytest.mark.parametrize("name", ALL_PARTITIONER_NAMES)
 def test_partitioner_matches_reference(name, k, graph_name):
-    graph = _graph(graph_name)
-    production = create_partitioner(name)(graph, k).assignment
-    with reference_loops():
-        reference = create_partitioner(name)(graph, k).assignment
-    _assert_bytes_equal(production, reference)
+    _assert_partitioner_matches_reference(name, k, graph_name)
+
+
+#: Settings whose code the default rows never run: a slack below 1 fills every
+#: partition mid-stream, so 2PS and HEP reach their all-at-capacity policies
+#: (HEP's at no other row), and a balance weight above 1 switches off the
+#: dominance shortcut of ``StreamingScoreState.pick``.
+TUNED_PARTITIONERS = (
+    [(name, "balance_slack", slack)
+     for name in ("hep1", "hep10", "2ps") for slack in (0.5, 0.9)]
+    + [(name, "balance_weight", 5.0) for name in ("hdrf", "2ps")])
+
+
+@pytest.mark.parametrize("graph_name", ("rmat", "soc"))
+@pytest.mark.parametrize("k", ORACLE_K_GRID + (33,))
+@pytest.mark.parametrize("name,option,value", TUNED_PARTITIONERS)
+def test_tuned_partitioner_matches_reference(name, option, value, k,
+                                             graph_name):
+    _assert_partitioner_matches_reference(name, k, graph_name,
+                                          **{option: value})
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS_GRID)
