@@ -38,7 +38,14 @@ def _save(obj, path: str, kind: str) -> None:
 
 def _load(path: str, kind: str):
     with open(path, "rb") as handle:
-        payload = pickle.load(handle)
+        try:
+            payload = pickle.load(handle)
+        except (AttributeError, ImportError) as error:
+            # pickle resolves classes by name before any check below can run;
+            # a name this version does not define means another one wrote it.
+            raise ValueError(
+                f"{path!r} was written by an incompatible version of repro "
+                f"({error}); re-train and re-publish") from error
     if not isinstance(payload, dict) or "object" not in payload:
         raise ValueError(f"{path!r} is not an EASE persistence file")
     if payload.get("kind") != kind:

@@ -10,7 +10,7 @@ partitioner identity itself is deliberately *not* a feature.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,15 +23,11 @@ from ..ml import (
     mape,
     rmse,
 )
+from ..processing.algorithms import AVERAGE_ITERATION_ALGORITHMS
 from .dataset import ProcessingRecord
 from .features import ProcessingTimeFeatureBuilder
 
 __all__ = ["ProcessingTimePredictor", "default_processing_model"]
-
-#: Algorithms whose target is the average iteration time; the total time is
-#: the prediction multiplied by the requested number of iterations.
-AVERAGE_ITERATION_ALGORITHMS = frozenset(
-    {"pagerank", "label_propagation", "synthetic_low", "synthetic_high"})
 
 
 def default_processing_model(algorithm: str, random_state: int = 0) -> Regressor:
@@ -93,17 +89,7 @@ class ProcessingTimePredictor:
         for record in records:
             by_algorithm.setdefault(record.algorithm, []).append(record)
         for algorithm, algorithm_records in by_algorithm.items():
-            features = self._builder.build(
-                [r.properties for r in algorithm_records],
-                [r.num_partitions for r in algorithm_records],
-                [r.metrics for r in algorithm_records])
-            scaler = StandardScaler().fit(features)
-            targets = self._transform_target(
-                np.array([r.target_seconds for r in algorithm_records]))
-            model = self._model_factory(algorithm)
-            model.fit(scaler.transform(features), targets)
-            self._models[algorithm] = model
-            self._scalers[algorithm] = scaler
+            self.fit_partial(algorithm, algorithm_records)
         return self
 
     def fit_algorithm(self, algorithm: str,

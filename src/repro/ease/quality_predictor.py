@@ -107,9 +107,9 @@ class PartitioningQualityPredictor:
             builder = self._builder_for(target).fit(partitioner_names)
             features = builder.build(properties, partitioners, partition_counts)
             scaler = StandardScaler().fit(features)
-            targets = np.array([record.metrics[target] for record in records])
+            values = np.array([record.metrics[target] for record in records])
             model = self._model_factory(target)
-            model.fit(scaler.transform(features), targets)
+            model.fit(scaler.transform(features), values)
             self._builders[target] = builder
             self._scalers[target] = scaler
             self._models[target] = model

@@ -9,7 +9,7 @@ model plays in the evaluation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class GradientBoostingRegressor(Regressor):
         self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.trees_: Optional[List[DecisionTreeRegressor]] = None
+        self.trees_: Optional[FlatTreeEnsemble] = None
         self.initial_prediction_: float = 0.0
         self.feature_importances_: Optional[np.ndarray] = None
 
@@ -62,7 +62,7 @@ class GradientBoostingRegressor(Regressor):
         num_samples = features.shape[0]
         self.initial_prediction_ = float(targets.mean())
         predictions = np.full(num_samples, self.initial_prediction_)
-        self.trees_ = []
+        trees = []
         importances = np.zeros(features.shape[1])
 
         for index in range(self.n_estimators):
@@ -78,29 +78,20 @@ class GradientBoostingRegressor(Regressor):
                 random_state=self.random_state + index + 1,
             )
             tree.fit(features[sample], residuals[sample])
-            self.trees_.append(tree)
+            trees.append(tree.tree_)
             importances += tree.feature_importances_
             predictions += self.learning_rate * tree.predict(features)
 
         total = importances.sum()
         self.feature_importances_ = (importances / total if total > 0
                                      else importances)
-        self._flat = None
+        self.trees_ = FlatTreeEnsemble.concatenate(trees)
         return self
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_flat", None)
-        return state
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         check_fitted(self, "trees_")
         features = check_2d(features)
-        flat = getattr(self, "_flat", None)
-        if flat is None:
-            flat = self._flat = FlatTreeEnsemble(
-                [tree._root for tree in self.trees_])
-        per_tree = flat.predict_per_tree(features)
+        per_tree = self.trees_.predict_per_tree(features)
         # Accumulate in tree order (not per_tree.sum) so predictions stay
         # bit-identical to the historical one-tree-at-a-time loop.
         predictions = np.full(features.shape[0], self.initial_prediction_)

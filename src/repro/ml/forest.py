@@ -6,7 +6,7 @@ The RFR is the model the paper selects for the balance-metric predictions
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class RandomForestRegressor(Regressor):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.trees_: Optional[List[DecisionTreeRegressor]] = None
+        self.trees_: Optional[FlatTreeEnsemble] = None
         self.feature_importances_: Optional[np.ndarray] = None
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "RandomForestRegressor":
@@ -55,7 +55,7 @@ class RandomForestRegressor(Regressor):
             raise ValueError("n_estimators must be >= 1")
         rng = np.random.default_rng(self.random_state)
         num_samples = features.shape[0]
-        self.trees_ = []
+        trees = []
         importances = np.zeros(features.shape[1])
         for index in range(self.n_estimators):
             if self.bootstrap:
@@ -70,27 +70,18 @@ class RandomForestRegressor(Regressor):
                 random_state=self.random_state + index + 1,
             )
             tree.fit(features[sample], targets[sample])
-            self.trees_.append(tree)
+            trees.append(tree.tree_)
             importances += tree.feature_importances_
         total = importances.sum()
         self.feature_importances_ = (importances / total if total > 0
                                      else importances)
-        self._flat = None
+        self.trees_ = FlatTreeEnsemble.concatenate(trees)
         return self
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_flat", None)
-        return state
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         check_fitted(self, "trees_")
         features = check_2d(features)
-        flat = getattr(self, "_flat", None)
-        if flat is None:
-            flat = self._flat = FlatTreeEnsemble(
-                [tree._root for tree in self.trees_])
-        per_tree = flat.predict_per_tree(features)
+        per_tree = self.trees_.predict_per_tree(features)
         # Accumulate in tree order (not per_tree.sum) so predictions stay
         # bit-identical to the historical one-tree-at-a-time loop.
         predictions = np.zeros(features.shape[0])

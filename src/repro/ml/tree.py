@@ -8,8 +8,7 @@ quality predictions (Table VII).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,67 +17,50 @@ from .base import Regressor, check_2d, check_fitted
 __all__ = ["DecisionTreeRegressor", "FlatTreeEnsemble"]
 
 
-@dataclass
-class _Node:
-    """One node of the fitted tree."""
-
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 class FlatTreeEnsemble:
-    """Array representation of fitted CART trees for vectorized prediction.
+    """Fitted CART trees as five parallel node arrays plus one root per tree.
 
-    Node-object traversal costs a Python loop step per (tree, row, level);
-    with the tree ensembles of the EASE predictors that adds up to thousands
-    of interpreter steps per prediction, which dominates serving latency.
-    Packing all trees of an ensemble into flat arrays lets one
-    level-synchronous descent advance every (tree, row) pair per numpy
-    operation: rows take exactly the same left/right decisions as the object
-    walk, so predictions are bit-identical, just batched.
+    This is the only form a fitted tree has: ``fit`` writes these arrays,
+    ``predict`` reads them and a saved bundle stores them.  Node ``i`` sends
+    a row to ``left[i]`` when ``row[feature[i]] <= threshold[i]`` and to
+    ``right[i]`` otherwise; ``value[i]`` is the mean target of the training
+    rows that reached it.  Leaves self-loop (``left[i] == right[i] == i``, on
+    a dummy feature 0 / threshold 0.0): descending past a leaf stays on the
+    leaf, so the descent needs no per-row "done" bookkeeping, and one
+    level-synchronous pass advances every (tree, row) pair per numpy
+    operation instead of one interpreter step per (tree, row, level).
     """
 
-    def __init__(self, roots: Sequence["_Node"]) -> None:
-        feature: List[int] = []
-        threshold: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        value: List[float] = []
-        tree_roots: List[int] = []
-        max_depth = 0
-        for root in roots:
-            tree_roots.append(len(feature))
-            stack = [(root, -1, False, 0)]
-            while stack:
-                node, parent, is_left, depth = stack.pop()
-                index = len(feature)
-                if parent >= 0:
-                    (left if is_left else right)[parent] = index
-                feature.append(0 if node.is_leaf else node.feature)
-                threshold.append(node.threshold)
-                value.append(node.prediction)
-                # Leaves self-loop: descending past a leaf stays on the leaf,
-                # so the descent needs no per-row "done" bookkeeping.
-                left.append(index)
-                right.append(index)
-                if not node.is_leaf:
-                    max_depth = max(max_depth, depth + 1)
-                    stack.append((node.right, index, False, depth + 1))
-                    stack.append((node.left, index, True, depth + 1))
+    def __init__(self, feature, threshold, left, right, value, roots,
+                 max_depth: int) -> None:
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=np.float64)
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=np.float64)
-        self.roots = np.asarray(tree_roots, dtype=np.intp)
+        self.roots = np.asarray(roots, dtype=np.intp)
         self.max_depth = max_depth
+
+    @classmethod
+    def concatenate(cls, ensembles: Sequence["FlatTreeEnsemble"]
+                    ) -> "FlatTreeEnsemble":
+        """One ensemble holding the trees of ``ensembles``, in order."""
+        # Node indices (children, roots) move up by the nodes placed before.
+        offsets = np.cumsum([0] + [len(e.feature) for e in ensembles[:-1]])
+
+        def joined(name: str, shifted: bool) -> np.ndarray:
+            return np.concatenate(
+                [getattr(ensemble, name) + (offset if shifted else 0)
+                 for ensemble, offset in zip(ensembles, offsets)])
+
+        return cls(joined("feature", False), joined("threshold", False),
+                   joined("left", True), joined("right", True),
+                   joined("value", False), joined("roots", True),
+                   max_depth=max(e.max_depth for e in ensembles))
+
+    def __len__(self) -> int:
+        """Number of trees."""
+        return len(self.roots)
 
     def predict_per_tree(self, features: np.ndarray) -> np.ndarray:
         """Leaf predictions of every tree: shape ``(num_trees, num_rows)``.
@@ -125,7 +107,7 @@ class DecisionTreeRegressor(Regressor):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._root: Optional[_Node] = None
+        self.tree_: Optional[FlatTreeEnsemble] = None
         self.feature_importances_: Optional[np.ndarray] = None
         self._num_features: int = 0
 
@@ -147,50 +129,60 @@ class DecisionTreeRegressor(Regressor):
         if features.shape[0] == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
         self._num_features = features.shape[1]
-        self._importance_accumulator = np.zeros(self._num_features)
-        self._rng = np.random.default_rng(self.random_state)
-        self._features_per_split = self._resolve_max_features(self._num_features)
-        self._total_samples = features.shape[0]
-        self._root = self._build(features, targets, depth=0)
-        self._flat = None
-        total = self._importance_accumulator.sum()
-        if total > 0:
-            self.feature_importances_ = self._importance_accumulator / total
-        else:
-            self.feature_importances_ = np.zeros(self._num_features)
+        rng = np.random.default_rng(self.random_state)
+        features_per_split = self._resolve_max_features(self._num_features)
+        total_samples = features.shape[0]
+        importances = np.zeros(self._num_features)
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def build(rows: np.ndarray, targets: np.ndarray, depth: int) -> int:
+            """Append the subtree fitted to ``rows`` in preorder (a node, its
+            left subtree, its right subtree) and return the depth reached."""
+            node = len(feature)
+            # Every node starts as a leaf: dummy feature 0 / threshold 0.0 and
+            # both children itself.  A split overwrites those four fields.
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(node)
+            right.append(node)
+            value.append(float(targets.mean()))
+            num_samples = targets.shape[0]
+            if (num_samples < self.min_samples_split
+                    or (self.max_depth is not None and depth >= self.max_depth)
+                    or np.all(targets == targets[0])):
+                return depth
+
+            split = self._best_split(rows, targets, rng, features_per_split)
+            if split is None:
+                return depth
+            feature[node], threshold[node], gain, left_mask = split
+            importances[feature[node]] += gain * num_samples / total_samples
+            left[node] = len(feature)
+            left_depth = build(rows[left_mask], targets[left_mask], depth + 1)
+            right[node] = len(feature)
+            right_depth = build(rows[~left_mask], targets[~left_mask], depth + 1)
+            return max(left_depth, right_depth)
+
+        max_depth = build(features, targets, depth=0)
+        self.tree_ = FlatTreeEnsemble(feature, threshold, left, right, value,
+                                      roots=[0], max_depth=max_depth)
+        total = importances.sum()
+        self.feature_importances_ = (importances / total if total > 0
+                                     else importances)
         return self
 
     # ------------------------------------------------------------------ #
-    def _build(self, features: np.ndarray, targets: np.ndarray,
-               depth: int) -> _Node:
-        node = _Node(prediction=float(targets.mean()))
-        num_samples = targets.shape[0]
-        if (num_samples < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(targets == targets[0])):
-            return node
-
-        split = self._best_split(features, targets)
-        if split is None:
-            return node
-        feature, threshold, gain, left_mask = split
-        self._importance_accumulator[feature] += gain * num_samples / self._total_samples
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(features[left_mask], targets[left_mask], depth + 1)
-        node.right = self._build(features[~left_mask], targets[~left_mask], depth + 1)
-        return node
-
-    def _best_split(self, features: np.ndarray, targets: np.ndarray):
+    def _best_split(self, features: np.ndarray, targets: np.ndarray,
+                    rng: np.random.Generator, features_per_split: int):
         num_samples, num_features = features.shape
         parent_impurity = targets.var()
         if parent_impurity == 0.0:
             return None
 
-        if self._features_per_split < num_features:
-            candidate_features = self._rng.choice(num_features,
-                                                  size=self._features_per_split,
-                                                  replace=False)
+        if features_per_split < num_features:
+            candidate_features = rng.choice(num_features,
+                                            size=features_per_split,
+                                            replace=False)
         else:
             candidate_features = np.arange(num_features)
 
@@ -234,37 +226,15 @@ class DecisionTreeRegressor(Regressor):
         return best
 
     # ------------------------------------------------------------------ #
-    def __getstate__(self):
-        # The flattened prediction cache is derived data; dropping it keeps
-        # saved bundles small and their content hash independent of whether
-        # the model predicted before being saved.
-        state = self.__dict__.copy()
-        state.pop("_flat", None)
-        return state
-
-    def flattened(self) -> FlatTreeEnsemble:
-        """Flat-array view of this tree (built lazily, cached until refit)."""
-        check_fitted(self, "_root")
-        flat = getattr(self, "_flat", None)
-        if flat is None:
-            flat = self._flat = FlatTreeEnsemble([self._root])
-        return flat
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = check_2d(features)
-        flat = self.flattened()
+        check_fitted(self, "tree_")
         if features.shape[1] != self._num_features:
             raise ValueError("feature dimensionality changed between fit and "
                              "predict")
-        return flat.predict_per_tree(features)[0]
+        return self.tree_.predict_per_tree(features)[0]
 
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
-        check_fitted(self, "_root")
-
-        def _depth(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(self._root)
+        check_fitted(self, "tree_")
+        return self.tree_.max_depth

@@ -24,6 +24,7 @@ __all__ = [
     "SyntheticHigh",
     "ALGORITHM_FACTORIES",
     "ALL_ALGORITHM_NAMES",
+    "AVERAGE_ITERATION_ALGORITHMS",
     "create_algorithm",
 ]
 
@@ -45,6 +46,14 @@ ALL_ALGORITHM_NAMES: Sequence[str] = (
     "pagerank", "connected_components", "sssp", "kcores",
     "synthetic_low", "synthetic_high",
 )
+
+#: Algorithms whose prediction target is the average iteration time (their
+#: per-iteration load is constant and the iteration count is a parameter);
+#: all others are predicted by their total time to convergence (Section V-C).
+#: Profiling labels with this set and the predictor multiplies by it.
+AVERAGE_ITERATION_ALGORITHMS = frozenset(
+    name for name, algorithm in ALGORITHM_FACTORIES.items()
+    if not algorithm.runs_until_convergence)
 
 
 def create_algorithm(name: str, **kwargs) -> VertexCentricAlgorithm:

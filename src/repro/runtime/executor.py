@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..faults import FailurePolicy, QuarantineError
 from ..obs import span
+from ..processing.algorithms import AVERAGE_ITERATION_ALGORITHMS
 from .artifacts import ArtifactStore
 from .backends import (
     ExecutorBackend,
@@ -71,12 +72,6 @@ __all__ = [
     "ProfileRunStats",
     "build_dataset",
 ]
-
-#: Algorithms whose prediction target is the average iteration time (their
-#: per-iteration load is constant and the iteration count is a parameter);
-#: all others are predicted by their total time to convergence (Section V-C).
-AVERAGE_ITERATION_ALGORITHMS = frozenset(
-    {"pagerank", "label_propagation", "synthetic_low", "synthetic_high"})
 
 #: Selectable backend names (``auto`` picks inline for ``jobs == 1`` and the
 #: process pool otherwise).

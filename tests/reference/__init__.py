@@ -1,5 +1,5 @@
-"""Reference oracles: the seed formulations of every kernelized algorithm
-and of the profiling pipeline.
+"""Reference oracles: the seed formulations of every kernelized algorithm,
+of the profiling pipeline and of the CART tree builder.
 
 Each function here is the straightforward per-edge / per-vertex Python loop
 that the production numpy kernel in ``src/repro`` replaced, kept verbatim and
@@ -16,6 +16,9 @@ given the same array signature as the kernel it checks:
   ``repro.graph.property_engine.sampled_triangle_stats_engine``
 * ``sequential_profile`` ↔ ``repro.ease.GraphProfiler.profile`` (plan → task
   DAG → backend → merge), compared record for record
+* ``ReferenceTreeRegressor`` ↔ ``repro.ml.tree.DecisionTreeRegressor`` (node
+  objects flattened by a stack walk ↔ ``fit`` writing the arrays), compared
+  on the ``tree_`` / ``trees_`` arrays, importances and predictions
 
 ``tests/test_reference_oracle.py`` asserts byte-identical results between
 the two sides.  Nothing under ``src/`` imports this package.
@@ -24,6 +27,7 @@ the two sides.  Nothing under ``src/`` imports this package.
 import contextlib
 from unittest import mock
 
+from .ml import ReferenceTreeRegressor, flatten
 from .partitioning import (
     hdrf_loop_assign,
     hep_loop_stream,
@@ -35,7 +39,6 @@ from .properties import (
     sampled_triangle_stats_sets,
     triangle_counts_sets,
 )
-
 
 
 @contextlib.contextmanager
@@ -55,8 +58,32 @@ def reference_loops():
         yield
 
 
+@contextlib.contextmanager
+def reference_trees():
+    """Inside the block the random forest and gradient boosting grow
+    ``ReferenceTreeRegressor`` trees.
+
+    The ensembles' sampling, seeding, importance and concatenation code is
+    shared between a production run and a reference run; only the tree
+    builder differs.  Yields the list of every reference tree built so far,
+    so a row can also flatten all their roots in one walk, as the parent did.
+    """
+    built = []
+
+    def grow(**hyper_parameters):
+        built.append(ReferenceTreeRegressor(**hyper_parameters))
+        return built[-1]
+
+    with mock.patch("repro.ml.forest.DecisionTreeRegressor", grow), \
+            mock.patch("repro.ml.boosting.DecisionTreeRegressor", grow):
+        yield built
+
+
 __all__ = [
     "reference_loops",
+    "reference_trees",
+    "ReferenceTreeRegressor",
+    "flatten",
     "hdrf_loop_assign",
     "two_ps_loop_assign",
     "hep_loop_stream",

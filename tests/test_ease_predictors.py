@@ -6,6 +6,7 @@ import pytest
 from repro.generators import generate_rmat, generate_realworld_graph
 from repro.ml import LinearRegression, RandomForestRegressor
 from repro.partitioning import QUALITY_METRIC_NAMES
+from repro.runtime import executor
 from repro.ease import (
     GraphProfiler,
     PartitioningQualityPredictor,
@@ -204,3 +205,8 @@ class TestProcessingTimePredictor:
     def test_average_iteration_algorithm_set(self):
         assert "pagerank" in AVERAGE_ITERATION_ALGORITHMS
         assert "connected_components" not in AVERAGE_ITERATION_ALGORITHMS
+        # Defined once, derived from ``runs_until_convergence``; profiling
+        # labels with the same object the predictor multiplies by.
+        assert executor.AVERAGE_ITERATION_ALGORITHMS is AVERAGE_ITERATION_ALGORITHMS
+        assert AVERAGE_ITERATION_ALGORITHMS == {
+            "pagerank", "label_propagation", "synthetic_low", "synthetic_high"}

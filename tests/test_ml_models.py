@@ -1,5 +1,8 @@
 """Tests for the regression models of the from-scratch ML library."""
 
+import pickle
+import pickletools
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,17 @@ def _nonlinear_data(num_samples=300, seed=0):
     targets = (np.sin(3 * features[:, 0]) + features[:, 1] ** 2
                + features[:, 2] * features[:, 3])
     return features, targets
+
+
+def _assert_bundles_model_state_only(fitted, features):
+    """A pickled tree model is its arrays: it predicts bit-identically on the
+    first call after a load, and the dump names no node class and no RNG."""
+    dump = pickle.dumps(fitted)
+    assert (pickle.loads(dump).predict(features).tobytes()
+            == fitted.predict(features).tobytes())
+    named = " ".join(str(arg) for _, arg, _ in pickletools.genops(dump)
+                     if isinstance(arg, str))
+    assert "_Node" not in named and "numpy.random" not in named
 
 
 ALL_MODELS = [
@@ -152,6 +166,10 @@ class TestTrees:
         features, targets = _nonlinear_data(200)
         model = DecisionTreeRegressor(max_depth=6).fit(features, targets)
         assert model.feature_importances_.sum() == pytest.approx(1.0)
+        # Nothing fit-scoped (RNG, accumulators) stays on the estimator.
+        assert set(vars(model)) == set(model.get_params()) | {
+            "tree_", "feature_importances_", "_num_features"}
+        _assert_bundles_model_state_only(model, features)
 
     def test_irrelevant_feature_gets_low_importance(self):
         rng = np.random.default_rng(0)
@@ -174,6 +192,8 @@ class TestEnsembles:
         model = RandomForestRegressor(n_estimators=10, max_depth=6)
         model.fit(features, targets)
         assert model.feature_importances_.sum() == pytest.approx(1.0)
+        assert len(model.trees_) == model.n_estimators
+        _assert_bundles_model_state_only(model, features)
 
     def test_forest_beats_single_tree_on_noisy_data(self):
         rng = np.random.default_rng(7)
@@ -195,6 +215,8 @@ class TestEnsembles:
         many = GradientBoostingRegressor(n_estimators=100).fit(features, targets)
         assert (rmse(targets, many.predict(features))
                 < rmse(targets, few.predict(features)))
+        assert len(many.trees_) == many.n_estimators
+        _assert_bundles_model_state_only(many, features)
 
     def test_boosting_rejects_invalid_subsample(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,20 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_ease(str(path))
 
+    def test_bundle_of_another_version_fails_loud_and_named(self, tmp_path):
+        # What a pre-"a tree is its arrays" bundle looks like to pickle: a
+        # global reference to a class repro.ml.tree no longer defines.
+        path = tmp_path / "old.pkl"
+        path.write_bytes(b"crepro.ml.tree\n_Node\n.")
+        with pytest.raises(ValueError) as raised:
+            load_ease(str(path))
+        message = str(raised.value)
+        assert str(path) in message and "_Node" in message
+        assert "incompatible version" in message and "re-train" in message
+        path.write_bytes(b"crepro.ml.no_such_module\nTree\n.")
+        with pytest.raises(ValueError, match="no_such_module"):
+            load_ease(str(path))
+
 
 class TestCLI:
     def test_parser_requires_subcommand(self):

@@ -20,7 +20,16 @@ buffer) rather than closeness:
   the seed's sequential profiler loops, record for record, on a corpus that
   makes the plan deduplicate across phases and across equal-content entries;
   plus the literal task ids of one tiny plan, because a drifted id does not
-  fail anything else: it silently cold-starts every cache and checkpoint.
+  fail anything else: it silently cold-starts every cache and checkpoint;
+* CART fitting — ``DecisionTreeRegressor.fit`` writing the ``tree_`` arrays
+  against the parent's node objects + stack-walk flatten
+  (``reference.ReferenceTreeRegressor``): single trees over seeds × depths ×
+  ``max_features`` × ``min_samples_leaf`` × {continuous, quality-matrix-like
+  with duplicate-valued and one-hot columns, constant target, two rows}, the
+  default quality ensembles and subsampled boosting with only the tree
+  builder swapped (:func:`reference.reference_trees`), and one trained
+  ``EASE`` end to end.  Six arrays, ``max_depth``, importances and held-out
+  predictions, byte for byte.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -33,15 +42,20 @@ import numpy as np
 import pytest
 
 from reference import (
+    ReferenceTreeRegressor,
+    flatten,
     local_clustering_sets,
     reference_loops,
+    reference_trees,
     sampled_triangle_stats_sets,
     sequential_profile,
     triangle_counts_sets,
 )
-from repro.ease import GraphProfiler
+from repro.ease import EASE, GraphProfiler, SelectionRequest
+from repro.ease.quality_predictor import default_quality_model
 from repro.generators import generate_realworld_graph, generate_rmat
 from repro.graph import Graph
+from repro.ml import DecisionTreeRegressor, GradientBoostingRegressor
 from repro.graph.property_engine import (
     DEFAULT_BLOCK_PAIRS,
     local_clustering_from_triangles,
@@ -298,3 +312,124 @@ def test_task_ids_are_pinned():
     task_ids.append(PropertiesTask("fp", True, 3, mode="approximate",
                                    wedge_budget=500).task_id)
     assert task_ids == PINNED_TASK_IDS
+
+
+# --------------------------------------------------------------------------- #
+# CART fitting vs. the parent's node objects + stack-walk flatten
+# --------------------------------------------------------------------------- #
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "roots")
+
+
+def _continuous(rng):
+    features = rng.random((120, 5))
+    targets = (np.sin(3 * features[:, 0]) + features[:, 1] * features[:, 2]
+               + 0.1 * rng.normal(size=120))
+    return features, targets
+
+
+def _quality_like(rng):
+    """The shape of the real quality feature matrix: 8 graph-property columns
+    that repeat over a graph's rows, ``k`` and a one-hot of 11 partitioners."""
+    graphs, partitioners, counts = 6, 11, (2, 4, 8)
+    properties = np.repeat(rng.random((graphs, 8)), partitioners * len(counts),
+                           axis=0)
+    one_hot = np.tile(np.repeat(np.eye(partitioners), len(counts), axis=0),
+                      (graphs, 1))
+    k = np.tile(np.asarray(counts, dtype=np.float64), graphs * partitioners)
+    features = np.column_stack([properties, k, one_hot])
+    targets = (properties[:, 0] * np.log2(k) + one_hot @ rng.random(partitioners)
+               + 0.05 * rng.normal(size=features.shape[0]))
+    return features, targets
+
+
+def _constant_target(rng):
+    return rng.random((30, 3)), np.ones(30)
+
+
+def _two_rows(rng):
+    return rng.random((2, 3)), np.array([0.0, 1.0])
+
+
+_TREE_DATA = {"continuous": _continuous, "quality_like": _quality_like,
+              "constant_target": _constant_target, "two_rows": _two_rows}
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_data(name: str, seed: int):
+    """Training matrix, targets and held-out rows of one oracle row."""
+    rng = np.random.default_rng(seed)
+    features, targets = _TREE_DATA[name](rng)
+    return features, targets, rng.random((25, features.shape[1]))
+
+
+def _assert_same_trees(production, reference):
+    for name in TREE_ARRAYS:
+        _assert_bytes_equal(getattr(production, name),
+                            getattr(reference, name))
+    assert production.max_depth == reference.max_depth
+
+
+def _assert_same_model(production, reference, held_out):
+    _assert_bytes_equal(production.feature_importances_,
+                        reference.feature_importances_)
+    _assert_bytes_equal(production.predict(held_out),
+                        reference.predict(held_out))
+
+
+@pytest.mark.parametrize("data", tuple(_TREE_DATA))
+@pytest.mark.parametrize("min_samples_leaf", (1, 2))
+@pytest.mark.parametrize("max_features", (None, "sqrt", 0.6))
+@pytest.mark.parametrize("max_depth", (None, 3, 12))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_tree_matches_reference(seed, max_depth, max_features,
+                                min_samples_leaf, data):
+    features, targets, held_out = _tree_data(data, seed)
+    settings = dict(max_depth=max_depth, max_features=max_features,
+                    min_samples_leaf=min_samples_leaf, random_state=seed)
+    production = DecisionTreeRegressor(**settings).fit(features, targets)
+    reference = ReferenceTreeRegressor(**settings).fit(features, targets)
+    _assert_same_trees(production.tree_, reference.tree_)
+    _assert_same_model(production, reference, held_out)
+    # The recursive node walk, against the depth ``fit`` tracked.
+    assert production.depth() == reference.depth()
+
+
+#: The Table VI defaults at reduced ``n_estimators`` (60 and 150 in production).
+ENSEMBLES = {
+    "quality_rf": lambda seed: default_quality_model(
+        "edge_balance", random_state=seed).set_params(n_estimators=10),
+    "quality_gb": lambda seed: default_quality_model(
+        "replication_factor", random_state=seed).set_params(n_estimators=20),
+    "gb_subsample": lambda seed: GradientBoostingRegressor(
+        n_estimators=20, subsample=0.7, random_state=seed),
+}
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("ensemble", tuple(ENSEMBLES))
+def test_ensemble_matches_reference(ensemble, seed):
+    features, targets, held_out = _tree_data("quality_like", seed)
+    production = ENSEMBLES[ensemble](seed).fit(features, targets)
+    with reference_trees() as built:
+        reference = ENSEMBLES[ensemble](seed).fit(features, targets)
+    assert len(production.trees_) == len(built) == production.n_estimators
+    _assert_same_trees(production.trees_, reference.trees_)
+    # ... and against the parent's own derivation of an ensemble's arrays:
+    # every root flattened in one walk, no per-tree arrays concatenated.
+    _assert_same_trees(production.trees_,
+                       flatten([tree._root for tree in built]))
+    _assert_same_model(production, reference, held_out)
+
+
+def test_trained_system_selects_like_reference():
+    dataset, names = _profile_reference(), PROFILE_GRID["partitioner_names"]
+    production = EASE(partitioner_names=names).train(dataset)
+    with reference_trees():
+        reference = EASE(partitioner_names=names).train(dataset)
+    requests = [SelectionRequest(graph, algorithm, k, goal=goal)
+                for graph in _profile_corpus()
+                for algorithm in PROFILE_GRID["algorithms"]
+                for k in PROFILE_GRID["partition_counts"]
+                for goal in ("end_to_end", "processing")]
+    assert (production.selector.select_batch(requests)
+            == reference.selector.select_batch(requests))

@@ -183,12 +183,25 @@ class TestModelRegistry:
             assert lhs.predicted_quality == rhs.predicted_quality
 
     def test_publish_is_idempotent_by_content(self, registry, trained_system,
+                                              small_profile, query_graphs,
                                               tmp_path):
         bundle = str(tmp_path / "ease.pkl")
         save_ease(trained_system, bundle)
         first = registry.publish(bundle, "ease")
         second = registry.publish(bundle, "ease")
         assert first.version == second.version
+        assert len(registry.versions("ease")) == 1
+        # A bundle holds model state only: nothing a prediction derives and
+        # nothing a fit leaves behind reaches its bytes.
+        system = EASE(partitioner_names=PARTITIONERS).train(small_profile)
+        before = registry.publish(system, "ease")
+        system.select_partitioner(query_graphs[0], algorithm="pagerank",
+                                  num_partitions=2)
+        after = registry.publish(system, "ease")
+        retrained = registry.publish(
+            EASE(partitioner_names=PARTITIONERS).train(small_profile), "ease")
+        assert {before.version, after.version,
+                retrained.version} == {first.version}
         assert len(registry.versions("ease")) == 1
 
     def test_resolve_prefix_tag_and_latest(self, registry, trained_system):
