@@ -25,11 +25,12 @@ buffer) rather than closeness:
   against the parent's node objects + stack-walk flatten
   (``reference.ReferenceTreeRegressor``): single trees over seeds × depths ×
   ``max_features`` × ``min_samples_leaf`` × {continuous, quality-matrix-like
-  with duplicate-valued and one-hot columns, constant target, two rows}, the
-  default quality ensembles and subsampled boosting with only the tree
-  builder swapped (:func:`reference.reference_trees`), and one trained
-  ``EASE`` end to end.  Six arrays, ``max_depth``, importances and held-out
-  predictions, byte for byte.
+  with duplicate-valued and one-hot columns, constant target, two rows, a
+  duplicated plus a constant column, a coarse integer grid}, the default
+  quality ensembles, an unbootstrapped forest and subsampled boosting with
+  only the tree builder swapped (:func:`reference.reference_trees`), and one
+  trained ``EASE`` end to end.  Six arrays, ``max_depth``, importances and
+  held-out predictions, byte for byte.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -55,7 +56,11 @@ from repro.ease import EASE, GraphProfiler, SelectionRequest
 from repro.ease.quality_predictor import default_quality_model
 from repro.generators import generate_realworld_graph, generate_rmat
 from repro.graph import Graph
-from repro.ml import DecisionTreeRegressor, GradientBoostingRegressor
+from repro.ml import (
+    DecisionTreeRegressor,
+    GradientBoostingRegressor,
+    RandomForestRegressor,
+)
 from repro.graph.property_engine import (
     DEFAULT_BLOCK_PAIRS,
     local_clustering_from_triangles,
@@ -350,8 +355,31 @@ def _two_rows(rng):
     return rng.random((2, 3)), np.array([0.0, 1.0])
 
 
+def _tied_columns(rng):
+    """Column 3 repeats column 1 verbatim and column 4 is constant: two
+    candidates reach exactly the same best gain (the earliest in candidate
+    order must win), and one candidate never has a valid split position."""
+    base = rng.random((60, 3))
+    features = np.column_stack([base, base[:, 1], np.full(60, 0.5)])
+    targets = (2.0 * base[:, 1] + 0.5 * base[:, 0]
+               + 0.05 * rng.normal(size=60))
+    return features, targets
+
+
+def _coarse_grid(rng):
+    """Integer columns with 3-4 distinct values: most split positions sit
+    between equal values, and some nodes have no valid split in any
+    candidate."""
+    features = np.column_stack([rng.integers(0, levels, size=80)
+                                for levels in (3, 4, 3, 4)]).astype(np.float64)
+    targets = (features[:, 0] * features[:, 1] - features[:, 2]
+               + 0.1 * rng.normal(size=80))
+    return features, targets
+
+
 _TREE_DATA = {"continuous": _continuous, "quality_like": _quality_like,
-              "constant_target": _constant_target, "two_rows": _two_rows}
+              "constant_target": _constant_target, "two_rows": _two_rows,
+              "tied_columns": _tied_columns, "coarse_grid": _coarse_grid}
 
 
 @functools.lru_cache(maxsize=None)
@@ -402,6 +430,8 @@ ENSEMBLES = {
         "replication_factor", random_state=seed).set_params(n_estimators=20),
     "gb_subsample": lambda seed: GradientBoostingRegressor(
         n_estimators=20, subsample=0.7, random_state=seed),
+    "rf_no_bootstrap": lambda seed: RandomForestRegressor(
+        bootstrap=False, n_estimators=10, random_state=seed),
 }
 
 
