@@ -8,6 +8,7 @@ quality predictions (Table VII).
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,8 +93,8 @@ class DecisionTreeRegressor(Regressor):
     min_samples_leaf:
         Minimum number of samples in each child of a split.
     max_features:
-        Number of features considered per split: an int, a float fraction,
-        ``"sqrt"`` or ``None`` (all features).  Random forests use this for
+        Number of features considered per split: an int >= 1, a fraction in
+        (0, 1], ``"sqrt"`` or ``None`` (all features).  Random forests use this for
         per-split feature subsampling.
     random_state:
         Seed for the feature subsampling.
@@ -113,13 +114,18 @@ class DecisionTreeRegressor(Regressor):
 
     # ------------------------------------------------------------------ #
     def _resolve_max_features(self, num_features: int) -> int:
-        if self.max_features is None:
+        value = self.max_features
+        if value is None:
             return num_features
-        if self.max_features == "sqrt":
+        if value == "sqrt":
             return max(1, int(np.sqrt(num_features)))
-        if isinstance(self.max_features, float):
-            return max(1, int(self.max_features * num_features))
-        return max(1, min(int(self.max_features), num_features))
+        integral = isinstance(value, numbers.Integral)
+        if integral and not isinstance(value, bool) and value >= 1:
+            return min(int(value), num_features)
+        if isinstance(value, numbers.Real) and not integral and 0 < value <= 1:
+            return max(1, int(float(value) * num_features))
+        raise ValueError(f"max_features={value!r} is not one of None, 'sqrt', "
+                         "an int >= 1 or a float in (0, 1]")
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTreeRegressor":
         features = check_2d(features)
@@ -129,8 +135,8 @@ class DecisionTreeRegressor(Regressor):
         if features.shape[0] == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
         self._num_features = features.shape[1]
-        rng = np.random.default_rng(self.random_state)
         features_per_split = self._resolve_max_features(self._num_features)
+        rng = np.random.default_rng(self.random_state)
         total_samples = features.shape[0]
         importances = np.zeros(self._num_features)
         feature, threshold, left, right, value = [], [], [], [], []
@@ -174,56 +180,50 @@ class DecisionTreeRegressor(Regressor):
     # ------------------------------------------------------------------ #
     def _best_split(self, features: np.ndarray, targets: np.ndarray,
                     rng: np.random.Generator, features_per_split: int):
+        """Best ``(feature, threshold, gain, left_mask)`` of a node, or ``None``.
+
+        All candidate features are scored in one 2-D pass whose per-column
+        sums run in row order.  Tie-break contract: within a column the first
+        maximal position wins, across columns the first maximal candidate in
+        ``rng.choice`` order; only a gain above ``1e-12`` is accepted."""
         num_samples, num_features = features.shape
         parent_impurity = targets.var()
         if parent_impurity == 0.0:
             return None
+        candidate_features = (
+            rng.choice(num_features, size=features_per_split, replace=False)
+            if features_per_split < num_features else np.arange(num_features))
 
-        if features_per_split < num_features:
-            candidate_features = rng.choice(num_features,
-                                            size=features_per_split,
-                                            replace=False)
-        else:
-            candidate_features = np.arange(num_features)
-
-        best = None
-        best_gain = 1e-12
+        columns = features[:, candidate_features]
+        order = np.argsort(columns, axis=0, kind="stable")
+        sorted_values = np.take_along_axis(columns, order, axis=0)
+        sorted_targets = targets[order]
+        prefix_sum = np.cumsum(sorted_targets, axis=0)
+        prefix_sq = np.cumsum(sorted_targets ** 2, axis=0)
+        # Candidate split positions: between distinct consecutive values.
+        left_counts = np.arange(1, num_samples)[:, None]
+        right_counts = num_samples - left_counts
         min_leaf = self.min_samples_leaf
-        for feature in candidate_features:
-            order = np.argsort(features[:, feature], kind="stable")
-            sorted_values = features[order, feature]
-            sorted_targets = targets[order]
-
-            # Candidate split positions: between distinct consecutive values.
-            prefix_sum = np.cumsum(sorted_targets)
-            prefix_sq = np.cumsum(sorted_targets ** 2)
-            total_sum = prefix_sum[-1]
-            total_sq = prefix_sq[-1]
-
-            left_counts = np.arange(1, num_samples)
-            right_counts = num_samples - left_counts
-            valid = ((sorted_values[1:] != sorted_values[:-1])
-                     & (left_counts >= min_leaf) & (right_counts >= min_leaf))
-            if not valid.any():
-                continue
-
-            left_sum = prefix_sum[:-1]
-            left_sq = prefix_sq[:-1]
-            right_sum = total_sum - left_sum
-            right_sq = total_sq - left_sq
-            left_var = left_sq / left_counts - (left_sum / left_counts) ** 2
-            right_var = right_sq / right_counts - (right_sum / right_counts) ** 2
-            weighted = (left_counts * left_var + right_counts * right_var) / num_samples
-            gain = parent_impurity - weighted
-            gain[~valid] = -np.inf
-
-            index = int(np.argmax(gain))
-            if gain[index] > best_gain:
-                best_gain = float(gain[index])
-                threshold = 0.5 * (sorted_values[index] + sorted_values[index + 1])
-                left_mask = features[:, feature] <= threshold
-                best = (int(feature), float(threshold), best_gain, left_mask)
-        return best
+        valid = ((sorted_values[1:] != sorted_values[:-1])
+                 & (left_counts >= min_leaf) & (right_counts >= min_leaf))
+        left_sum, left_sq = prefix_sum[:-1], prefix_sq[:-1]
+        right_sum, right_sq = prefix_sum[-1] - left_sum, prefix_sq[-1] - left_sq
+        left_var = left_sq / left_counts - (left_sum / left_counts) ** 2
+        right_var = right_sq / right_counts - (right_sum / right_counts) ** 2
+        weighted = (left_counts * left_var + right_counts * right_var) / num_samples
+        gain = parent_impurity - weighted
+        gain[~valid] = -np.inf
+        positions = np.argmax(gain, axis=0)
+        column_gain = gain[positions, np.arange(gain.shape[1])]
+        accepted = np.flatnonzero(column_gain > 1e-12)  # never a NaN maximum
+        if not accepted.size:
+            return None
+        column = accepted[np.argmax(column_gain[accepted])]
+        index, feature = positions[column], int(candidate_features[column])
+        threshold = 0.5 * (sorted_values[index, column]
+                           + sorted_values[index + 1, column])
+        return (feature, float(threshold), float(column_gain[column]),
+                features[:, feature] <= threshold)
 
     # ------------------------------------------------------------------ #
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -185,6 +185,23 @@ class TestTrees:
         model = DecisionTreeRegressor().fit(features, np.ones(30))
         assert model.depth() == 0
 
+    @pytest.mark.parametrize("max_features, expected", [
+        (None, 20), ("sqrt", 4), (1, 1), (7, 7), (np.int64(7), 7), (50, 20),
+        (0.6, 12), (np.float64(0.6), 12), (np.float32(0.6), 12), (1.0, 20),
+        (0.01, 1), ("log2", None), (0, None), (-3, None), (0.0, None),
+        (1.5, None), (float("nan"), None), (True, None)])
+    def test_max_features_resolves_or_names_the_bad_value(self, max_features,
+                                                          expected):
+        model = DecisionTreeRegressor(max_features=max_features)
+        if expected is not None:
+            assert model._resolve_max_features(20) == expected
+            return
+        features = np.random.default_rng(0).random((30, 20))
+        with pytest.raises(ValueError, match=r"max_features=.* is not one of "
+                           r"None, 'sqrt', an int >= 1 or a float in \(0, 1\]"):
+            model.fit(features, np.arange(30.0))
+        assert model.tree_ is None
+
 
 class TestEnsembles:
     def test_forest_importances_normalised(self):

@@ -61,6 +61,7 @@ from repro.ml import (
     GradientBoostingRegressor,
     RandomForestRegressor,
 )
+from repro.ml import tree as tree_module
 from repro.graph.property_engine import (
     DEFAULT_BLOCK_PAIRS,
     local_clustering_from_triangles,
@@ -449,6 +450,33 @@ def test_ensemble_matches_reference(ensemble, seed):
     _assert_same_trees(production.trees_,
                        flatten([tree._root for tree in built]))
     _assert_same_model(production, reference, held_out)
+
+
+def test_split_search_sorts_once_per_node(monkeypatch):
+    """A timing-free fence: a node's candidate features are sorted in one
+    ``argsort`` call, not one call per candidate (12 per search here)."""
+    calls = {"argsort": 0, "split_search": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def argsort(*args, **kwargs):
+            calls["argsort"] += 1
+            return np.argsort(*args, **kwargs)
+
+    search = DecisionTreeRegressor._best_split
+
+    def counted_search(self, *args):
+        calls["split_search"] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(tree_module, "np", CountingNumpy())
+    monkeypatch.setattr(DecisionTreeRegressor, "_best_split", counted_search)
+    features, targets, _ = _tree_data("quality_like", 0)
+    default_quality_model("edge_balance").fit(features, targets)
+    assert 0 < calls["argsort"] <= calls["split_search"]
 
 
 def test_trained_system_selects_like_reference():
