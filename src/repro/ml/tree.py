@@ -94,8 +94,8 @@ class DecisionTreeRegressor(Regressor):
         Minimum number of samples in each child of a split.
     max_features:
         Number of features considered per split: an int >= 1, a fraction in
-        (0, 1], ``"sqrt"`` or ``None`` (all features).  Random forests use this for
-        per-split feature subsampling.
+        (0, 1], ``"sqrt"`` or ``None`` (all features).  Random forests use
+        this for per-split feature subsampling.
     random_state:
         Seed for the feature subsampling.
     """
