@@ -19,6 +19,10 @@ given the same array signature as the kernel it checks:
 * ``ReferenceTreeRegressor`` ↔ ``repro.ml.tree.DecisionTreeRegressor`` (node
   objects flattened by a stack walk ↔ ``fit`` writing the arrays), compared
   on the ``tree_`` / ``trees_`` arrays, importances and predictions
+* ``Reference{Quality,Time,Processing}Predictor`` ↔ the three
+  ``repro.ease`` predictors (per-predictor scalers and log-target helpers ↔
+  one ``TargetModel`` per model), compared on a trained system's scores,
+  evaluations and importances
 
 ``tests/test_reference_oracle.py`` asserts byte-identical results between
 the two sides.  Nothing under ``src/`` imports this package.
@@ -32,6 +36,11 @@ from .partitioning import (
     hdrf_loop_assign,
     hep_loop_stream,
     two_ps_loop_assign,
+)
+from .predictors import (
+    ReferenceProcessingPredictor,
+    ReferenceQualityPredictor,
+    ReferenceTimePredictor,
 )
 from .profiling import sequential_profile
 from .properties import (
@@ -79,9 +88,30 @@ def reference_trees():
         yield built
 
 
+@contextlib.contextmanager
+def reference_predictors():
+    """Inside the block ``EASE`` builds the parent's three predictor classes.
+
+    The regressors, the graph-feature helpers and the selector are shared
+    between a production run and a reference run; only the predictor layer
+    (feature builders, scalers, log targets) differs.
+    """
+    with mock.patch("repro.ease.pipeline.PartitioningQualityPredictor",
+                    ReferenceQualityPredictor), \
+            mock.patch("repro.ease.pipeline.PartitioningTimePredictor",
+                       ReferenceTimePredictor), \
+            mock.patch("repro.ease.pipeline.ProcessingTimePredictor",
+                       ReferenceProcessingPredictor):
+        yield
+
+
 __all__ = [
     "reference_loops",
+    "reference_predictors",
     "reference_trees",
+    "ReferenceProcessingPredictor",
+    "ReferenceQualityPredictor",
+    "ReferenceTimePredictor",
     "ReferenceTreeRegressor",
     "flatten",
     "hdrf_loop_assign",

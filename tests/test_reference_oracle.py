@@ -30,7 +30,12 @@ buffer) rather than closeness:
   quality ensembles, an unbootstrapped forest and subsampled boosting with
   only the tree builder swapped (:func:`reference.reference_trees`), and one
   trained ``EASE`` end to end.  Six arrays, ``max_depth``, importances and
-  held-out predictions, byte for byte.
+  held-out predictions, byte for byte;
+* the EASE predictor layer — a system trained with the parent's three
+  predictor classes (:func:`reference.reference_predictors`) over feature
+  sets × replication feature sets × seeds, compared on every candidate's
+  scores, each predictor's ``evaluate`` and the quality importances, plus
+  the per-algorithm extension path of the processing-time predictor.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -43,16 +48,24 @@ import numpy as np
 import pytest
 
 from reference import (
+    ReferenceProcessingPredictor,
+    ReferenceQualityPredictor,
     ReferenceTreeRegressor,
     flatten,
     local_clustering_sets,
     reference_loops,
+    reference_predictors,
     reference_trees,
     sampled_triangle_stats_sets,
     sequential_profile,
     triangle_counts_sets,
 )
-from repro.ease import EASE, GraphProfiler, SelectionRequest
+from repro.ease import (
+    EASE,
+    GraphProfiler,
+    ProcessingTimePredictor,
+    SelectionRequest,
+)
 from repro.ease.quality_predictor import default_quality_model
 from repro.generators import generate_realworld_graph, generate_rmat
 from repro.graph import Graph
@@ -68,7 +81,11 @@ from repro.graph.property_engine import (
     sampled_triangle_stats_engine,
     triangle_counts_engine,
 )
-from repro.partitioning import ALL_PARTITIONER_NAMES, create_partitioner
+from repro.partitioning import (
+    ALL_PARTITIONER_NAMES,
+    QUALITY_METRIC_NAMES,
+    create_partitioner,
+)
 from repro.runtime import ProfileExecutor, build_dataset, build_task_graph
 from repro.runtime.tasks import PropertiesTask
 from repro.serving.registry import dataset_fingerprint
@@ -491,3 +508,70 @@ def test_trained_system_selects_like_reference():
                 for goal in ("end_to_end", "processing")]
     assert (production.selector.select_batch(requests)
             == reference.selector.select_batch(requests))
+
+
+# --------------------------------------------------------------------------- #
+# EASE predictors vs. the parent's per-predictor scalers and log targets
+# --------------------------------------------------------------------------- #
+def _selection_requests():
+    """The 24 jobs of ``test_trained_system_selects_like_reference``."""
+    return [SelectionRequest(graph, algorithm, k, goal=goal)
+            for graph in _profile_corpus()
+            for algorithm in PROFILE_GRID["algorithms"]
+            for k in PROFILE_GRID["partition_counts"]
+            for goal in ("end_to_end", "processing")]
+
+
+def _predictor_outputs(system, dataset):
+    quality = system.quality_predictor
+    return {
+        "scores": system.selector.score_partitioners_batch(
+            _selection_requests()),
+        "quality": quality.evaluate(dataset.quality),
+        "partitioning_time": system.partitioning_time_predictor.evaluate(
+            dataset.partitioning_time),
+        "processing": system.processing_time_predictor.evaluate(
+            dataset.processing),
+        "importances": {target: quality.feature_importances(target)
+                        for target in QUALITY_METRIC_NAMES},
+    }
+
+
+@pytest.mark.parametrize("random_state", (0, 1))
+@pytest.mark.parametrize("replication_feature_set", (None, "advanced"))
+@pytest.mark.parametrize("feature_set", ("simple", "basic", "advanced"))
+def test_trained_system_predicts_like_reference(feature_set,
+                                                replication_feature_set,
+                                                random_state):
+    dataset = _profile_reference()
+    settings = dict(partitioner_names=PROFILE_GRID["partitioner_names"],
+                    feature_set=feature_set,
+                    replication_feature_set=replication_feature_set,
+                    random_state=random_state)
+    production = EASE(**settings).train(dataset)
+    with reference_predictors():
+        reference = EASE(**settings).train(dataset)
+    assert isinstance(reference.quality_predictor, ReferenceQualityPredictor)
+    # ``PartitionerScore`` and the score dicts compare floats exactly.
+    assert (_predictor_outputs(production, dataset)
+            == _predictor_outputs(reference, dataset))
+
+
+def test_processing_predictor_extends_like_reference():
+    """Section IV-E: a model fitted for pagerank, then connected components
+    (the polynomial family) added by ``fit_algorithm``."""
+    records = _profile_reference().processing
+    pagerank = [record for record in records if record.algorithm == "pagerank"]
+    production = ProcessingTimePredictor().fit(pagerank).fit_algorithm(
+        "connected_components", records)
+    reference = ReferenceProcessingPredictor().fit(pagerank).fit_algorithm(
+        "connected_components", records)
+    assert production.algorithms == reference.algorithms == [
+        "connected_components", "pagerank"]
+    assert production.evaluate(records) == reference.evaluate(records)
+    columns = ([record.algorithm for record in records],
+               [record.properties for record in records],
+               [record.num_partitions for record in records],
+               [record.metrics for record in records])
+    _assert_bytes_equal(production.predict_total_seconds_batch(*columns),
+                        reference.predict_total_seconds_batch(*columns))
