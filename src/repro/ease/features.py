@@ -9,24 +9,20 @@ Three graph-property feature sets are used:
 On top of the graph properties, each predictor adds its task-specific
 features: the partitioner (one-hot) and the number of partitions for the
 quality predictor, the partitioner for the run-time predictor, and the five
-partitioning quality metrics for the processing-time predictor.
+partitioning quality metrics for the processing-time predictor.  Each
+feature matrix then feeds a :class:`TargetModel` (scaler + regressor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import (
-    Graph,
-    GraphProperties,
-    compute_properties,
-    compute_properties_batch,
-)
+from ..graph import Graph, GraphProperties, compute_properties_batch
 from ..partitioning import QUALITY_METRIC_NAMES
-from ..ml import OneHotEncoder
+from ..ml import OneHotEncoder, Regressor, StandardScaler
 
 __all__ = [
     "FEATURE_SETS",
@@ -37,6 +33,7 @@ __all__ = [
     "QualityFeatureBuilder",
     "PartitioningTimeFeatureBuilder",
     "ProcessingTimeFeatureBuilder",
+    "TargetModel",
 ]
 
 #: Graph-property feature names per feature set (Table III).
@@ -114,27 +111,24 @@ def graph_feature_matrix_from_graphs(graphs: Sequence[Graph],
     return graph_feature_matrix(properties, feature_set)
 
 
-class _PartitionerEncoder:
-    """One-hot encoding of partitioner names shared by the feature builders."""
+class TargetModel:
+    """One EASE model: a z-score scaler in front of a regressor.
 
-    def __init__(self) -> None:
-        self._encoder: Optional[OneHotEncoder] = None
+    Every predicted quantity of a trained system (each quality metric, the
+    partitioning time, each algorithm's processing time) is one of these;
+    the predictors only choose which features and target values it sees.
+    """
 
-    def fit(self, partitioner_names: Sequence[str]) -> "_PartitionerEncoder":
-        self._encoder = OneHotEncoder(handle_unknown="ignore")
-        self._encoder.fit(list(partitioner_names))
+    def __init__(self, model: Regressor) -> None:
+        self.model = model
+        self.scaler = StandardScaler()
+
+    def fit(self, features: np.ndarray, values: np.ndarray) -> "TargetModel":
+        self.model.fit(self.scaler.fit_transform(features), values)
         return self
 
-    def transform(self, partitioner_names: Sequence[str]) -> np.ndarray:
-        if self._encoder is None:
-            raise RuntimeError("encoder must be fitted first")
-        return self._encoder.transform(list(partitioner_names))
-
-    @property
-    def categories(self) -> List[str]:
-        if self._encoder is None:
-            raise RuntimeError("encoder must be fitted first")
-        return list(self._encoder.categories_)
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return self.model.predict(self.scaler.transform(features))
 
 
 @dataclass
@@ -148,7 +142,7 @@ class QualityFeatureBuilder:
     feature_set: str = "basic"
 
     def __post_init__(self) -> None:
-        self._partitioner_encoder = _PartitionerEncoder()
+        self._partitioner_encoder = OneHotEncoder(handle_unknown="ignore")
 
     def fit(self, partitioner_names: Sequence[str]) -> "QualityFeatureBuilder":
         self._partitioner_encoder.fit(partitioner_names)
@@ -158,7 +152,7 @@ class QualityFeatureBuilder:
         names = list(graph_feature_names(self.feature_set))
         names.append("num_partitions")
         names.extend(f"partitioner={name}"
-                     for name in self._partitioner_encoder.categories)
+                     for name in self._partitioner_encoder.categories_)
         return names
 
     def build(self, properties: Sequence[GraphProperties],
@@ -182,7 +176,7 @@ class PartitioningTimeFeatureBuilder:
     feature_set: str = "advanced"
 
     def __post_init__(self) -> None:
-        self._partitioner_encoder = _PartitionerEncoder()
+        self._partitioner_encoder = OneHotEncoder(handle_unknown="ignore")
 
     def fit(self, partitioner_names: Sequence[str]) -> "PartitioningTimeFeatureBuilder":
         self._partitioner_encoder.fit(partitioner_names)
@@ -191,7 +185,7 @@ class PartitioningTimeFeatureBuilder:
     def feature_names(self) -> List[str]:
         names = list(graph_feature_names(self.feature_set))
         names.extend(f"partitioner={name}"
-                     for name in self._partitioner_encoder.categories)
+                     for name in self._partitioner_encoder.categories_)
         return names
 
     def build(self, properties: Sequence[GraphProperties],
@@ -201,7 +195,6 @@ class PartitioningTimeFeatureBuilder:
         return np.hstack([graph_features, partitioner_features])
 
 
-@dataclass
 class ProcessingTimeFeatureBuilder:
     """Features of the ProcessingTimePredictor.
 
@@ -211,7 +204,7 @@ class ProcessingTimeFeatureBuilder:
     without retraining the processing model).
     """
 
-    feature_set: str = "simple"
+    feature_set = "simple"
 
     def feature_names(self) -> List[str]:
         names = list(graph_feature_names(self.feature_set))

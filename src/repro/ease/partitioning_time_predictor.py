@@ -9,14 +9,14 @@ reports for this task.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..graph import GraphProperties
-from ..ml import GradientBoostingRegressor, Regressor, StandardScaler, mape, rmse
+from ..ml import GradientBoostingRegressor, mape, rmse
 from .dataset import PartitioningTimeRecord
-from .features import PartitioningTimeFeatureBuilder
+from .features import PartitioningTimeFeatureBuilder, TargetModel
 
 __all__ = ["PartitioningTimePredictor"]
 
@@ -24,65 +24,42 @@ __all__ = ["PartitioningTimePredictor"]
 class PartitioningTimePredictor:
     """Predicts partitioning run-time from graph features and the partitioner.
 
-    Parameters
-    ----------
-    feature_set:
-        Graph-property feature set (the paper considers all three; the
-        advanced set is the default because partitioners such as HEP and 2PS
-        behave differently depending on degree structure and clustering).
-    model:
-        Regressor to use; defaults to gradient boosting (the paper selects
-        XGBoost for this task).
-    log_transform:
-        Whether to train on ``log1p`` of the run-time.
+    The features are the advanced graph properties (partitioners such as HEP
+    and 2PS behave differently depending on degree structure and clustering)
+    and the one-hot partitioner; the model is gradient boosting (the paper
+    selects XGBoost for this task) seeded with ``random_state``.
     """
 
-    def __init__(self, feature_set: str = "advanced",
-                 model: Optional[Regressor] = None,
-                 log_transform: bool = True, random_state: int = 0) -> None:
-        self.feature_set = feature_set
-        self.log_transform = log_transform
+    def __init__(self, random_state: int = 0) -> None:
         self.random_state = random_state
-        self._model = model or GradientBoostingRegressor(
-            n_estimators=150, max_depth=4, learning_rate=0.08,
-            random_state=random_state)
-        self._builder = PartitioningTimeFeatureBuilder(feature_set=feature_set)
-        self._scaler: Optional[StandardScaler] = None
-        self._fitted = False
+        self._builder = PartitioningTimeFeatureBuilder()
+        self._target_model: Optional[TargetModel] = None
 
     # ------------------------------------------------------------------ #
-    def _transform_target(self, seconds: np.ndarray) -> np.ndarray:
-        return np.log1p(seconds) if self.log_transform else seconds
-
-    def _inverse_target(self, values: np.ndarray) -> np.ndarray:
-        return np.expm1(values) if self.log_transform else values
-
     def fit(self, records: Sequence[PartitioningTimeRecord]
             ) -> "PartitioningTimePredictor":
         """Train from partitioning-time profiling records."""
         if not records:
             raise ValueError("cannot fit on an empty record list")
-        partitioner_names = sorted({record.partitioner for record in records})
-        self._builder.fit(partitioner_names)
+        self._builder.fit(sorted({record.partitioner for record in records}))
         features = self._builder.build(
             [record.properties for record in records],
             [record.partitioner for record in records])
-        self._scaler = StandardScaler().fit(features)
-        targets = self._transform_target(
-            np.array([record.seconds for record in records]))
-        self._model.fit(self._scaler.transform(features), targets)
-        self._fitted = True
+        seconds = np.array([record.seconds for record in records])
+        self._target_model = TargetModel(GradientBoostingRegressor(
+            n_estimators=150, max_depth=4, learning_rate=0.08,
+            random_state=self.random_state)).fit(features, np.log1p(seconds))
         return self
 
     def predict(self, properties: Sequence[GraphProperties],
                 partitioners: Sequence[str]) -> np.ndarray:
         """Predict run-times (seconds) for a batch of (graph, partitioner)."""
-        if not self._fitted:
+        if self._target_model is None:
             raise RuntimeError("PartitioningTimePredictor must be fitted "
                                "before predicting")
         features = self._builder.build(list(properties), list(partitioners))
-        raw = self._model.predict(self._scaler.transform(features))
-        return np.clip(self._inverse_target(raw), 0.0, None)
+        raw = self._target_model.predict(features)
+        return np.clip(np.expm1(raw), 0.0, None)
 
     def predict_one(self, properties: GraphProperties, partitioner: str) -> float:
         """Predict the run-time of one partitioner on one graph."""

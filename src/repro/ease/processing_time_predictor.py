@@ -9,8 +9,7 @@ partitioner identity itself is deliberately *not* a feature.
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -19,13 +18,12 @@ from ..ml import (
     GradientBoostingRegressor,
     PolynomialRegression,
     Regressor,
-    StandardScaler,
     mape,
     rmse,
 )
 from ..processing.algorithms import AVERAGE_ITERATION_ALGORITHMS
 from .dataset import ProcessingRecord
-from .features import ProcessingTimeFeatureBuilder
+from .features import ProcessingTimeFeatureBuilder, TargetModel
 
 __all__ = ["ProcessingTimePredictor", "default_processing_model"]
 
@@ -46,35 +44,16 @@ def default_processing_model(algorithm: str, random_state: int = 0) -> Regressor
 class ProcessingTimePredictor:
     """Per-algorithm prediction of graph processing run-time.
 
-    Parameters
-    ----------
-    model_factory:
-        Callable ``(algorithm_name) -> Regressor``; defaults to the paper's
-        per-algorithm choices.
-    log_transform:
-        Train on ``log1p`` of the run-time (recommended, the run-times span
-        orders of magnitude across graph sizes).
+    Each algorithm gets the paper's model family for it
+    (:func:`default_processing_model`, seeded with ``random_state``),
+    trained on ``log1p`` of the run-time: the run-times span orders of
+    magnitude across graph sizes.
     """
 
-    def __init__(self,
-                 model_factory: Optional[Callable[[str], Regressor]] = None,
-                 log_transform: bool = True, random_state: int = 0) -> None:
-        self.log_transform = log_transform
+    def __init__(self, random_state: int = 0) -> None:
         self.random_state = random_state
-        # functools.partial (not a lambda) keeps the default factory — and
-        # with it a trained predictor — picklable.
-        self._model_factory = model_factory or functools.partial(
-            default_processing_model, random_state=random_state)
         self._builder = ProcessingTimeFeatureBuilder()
-        self._models: Dict[str, Regressor] = {}
-        self._scalers: Dict[str, StandardScaler] = {}
-
-    # ------------------------------------------------------------------ #
-    def _transform_target(self, seconds: np.ndarray) -> np.ndarray:
-        return np.log1p(seconds) if self.log_transform else seconds
-
-    def _inverse_target(self, values: np.ndarray) -> np.ndarray:
-        return np.expm1(values) if self.log_transform else values
+        self._models: Dict[str, TargetModel] = {}
 
     @property
     def algorithms(self) -> Sequence[str]:
@@ -85,11 +64,8 @@ class ProcessingTimePredictor:
         """Train one model per algorithm found in the records."""
         if not records:
             raise ValueError("cannot fit on an empty record list")
-        by_algorithm: Dict[str, list] = {}
-        for record in records:
-            by_algorithm.setdefault(record.algorithm, []).append(record)
-        for algorithm, algorithm_records in by_algorithm.items():
-            self.fit_partial(algorithm, algorithm_records)
+        for algorithm in dict.fromkeys(record.algorithm for record in records):
+            self.fit_algorithm(algorithm, records)
         return self
 
     def fit_algorithm(self, algorithm: str,
@@ -103,22 +79,15 @@ class ProcessingTimePredictor:
         relevant = [r for r in records if r.algorithm == algorithm]
         if not relevant:
             raise ValueError(f"no records for algorithm {algorithm!r}")
-        self.fit_partial(algorithm, relevant)
-        return self
-
-    def fit_partial(self, algorithm: str,
-                    records: Sequence[ProcessingRecord]) -> None:
         features = self._builder.build(
-            [r.properties for r in records],
-            [r.num_partitions for r in records],
-            [r.metrics for r in records])
-        scaler = StandardScaler().fit(features)
-        targets = self._transform_target(
-            np.array([r.target_seconds for r in records]))
-        model = self._model_factory(algorithm)
-        model.fit(scaler.transform(features), targets)
-        self._models[algorithm] = model
-        self._scalers[algorithm] = scaler
+            [r.properties for r in relevant],
+            [r.num_partitions for r in relevant],
+            [r.metrics for r in relevant])
+        seconds = np.array([r.target_seconds for r in relevant])
+        self._models[algorithm] = TargetModel(default_processing_model(
+            algorithm, random_state=self.random_state)).fit(
+                features, np.log1p(seconds))
+        return self
 
     # ------------------------------------------------------------------ #
     def _check_algorithm(self, algorithm: str) -> None:
@@ -134,9 +103,8 @@ class ProcessingTimePredictor:
         self._check_algorithm(algorithm)
         features = self._builder.build(list(properties), list(partition_counts),
                                        list(quality_metrics))
-        scaled = self._scalers[algorithm].transform(features)
-        raw = self._models[algorithm].predict(scaled)
-        return np.clip(self._inverse_target(raw), 0.0, None)
+        raw = self._models[algorithm].predict(features)
+        return np.clip(np.expm1(raw), 0.0, None)
 
     def predict_total_seconds_batch(self, algorithms: Sequence[str],
                                     properties: Sequence[GraphProperties],

@@ -19,14 +19,12 @@ from ..ml import (
     GradientBoostingRegressor,
     RandomForestRegressor,
     Regressor,
-    StandardScaler,
-    clone,
     mape,
     rmse,
 )
 from ..partitioning import PartitionQualityMetrics, QUALITY_METRIC_NAMES
 from .dataset import QualityRecord
-from .features import QualityFeatureBuilder
+from .features import QualityFeatureBuilder, TargetModel
 
 __all__ = ["PartitioningQualityPredictor", "default_quality_model"]
 
@@ -71,10 +69,8 @@ class PartitioningQualityPredictor:
         # with it a trained predictor — picklable.
         self._model_factory = model_factory or functools.partial(
             default_quality_model, random_state=random_state)
-        self._models: Dict[str, Regressor] = {}
-        self._scalers: Dict[str, StandardScaler] = {}
+        self._models: Dict[str, TargetModel] = {}
         self._builders: Dict[str, QualityFeatureBuilder] = {}
-        self._fitted = False
 
     # ------------------------------------------------------------------ #
     def _builder_for(self, target: str) -> QualityFeatureBuilder:
@@ -106,19 +102,15 @@ class PartitioningQualityPredictor:
         for target in targets:
             builder = self._builder_for(target).fit(partitioner_names)
             features = builder.build(properties, partitioners, partition_counts)
-            scaler = StandardScaler().fit(features)
             values = np.array([record.metrics[target] for record in records])
-            model = self._model_factory(target)
-            model.fit(scaler.transform(features), values)
+            self._models[target] = TargetModel(
+                self._model_factory(target)).fit(features, values)
             self._builders[target] = builder
-            self._scalers[target] = scaler
-            self._models[target] = model
-        self._fitted = True
         return self
 
     # ------------------------------------------------------------------ #
     def _check_fitted(self) -> None:
-        if not self._fitted:
+        if not self._models:
             raise RuntimeError("PartitioningQualityPredictor must be fitted "
                                "before predicting")
 
@@ -131,8 +123,7 @@ class PartitioningQualityPredictor:
             raise ValueError(f"unknown quality metric {target!r}")
         features = self._builders[target].build(properties, partitioners,
                                                 partition_counts)
-        scaled = self._scalers[target].transform(features)
-        return self._models[target].predict(scaled)
+        return self._models[target].predict(features)
 
     def predict_metric_columns(self, properties: Sequence[GraphProperties],
                                partitioners: Sequence[str],
@@ -191,7 +182,7 @@ class PartitioningQualityPredictor:
         Only available for tree-ensemble models; other model families raise.
         """
         self._check_fitted()
-        model = self._models[target]
+        model = self._models[target].model
         importances = getattr(model, "feature_importances_", None)
         if importances is None:
             raise ValueError(f"model for {target!r} does not expose feature "

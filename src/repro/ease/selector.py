@@ -186,15 +186,6 @@ class PartitionerSelector:
                 num_partitions=request.num_partitions, scores=scores))
         return results
 
-    def score_partitioners(self, graph: Union[Graph, GraphProperties],
-                           algorithm: str, num_partitions: int,
-                           num_iterations: Optional[int] = None
-                           ) -> List[PartitionerScore]:
-        """Predict costs for every candidate partitioner."""
-        return self.score_partitioners_batch([SelectionRequest(
-            graph=graph, algorithm=algorithm, num_partitions=num_partitions,
-            num_iterations=num_iterations)])[0]
-
     def select(self, graph: Union[Graph, GraphProperties], algorithm: str,
                num_partitions: int, goal: str = OptimizationGoal.END_TO_END,
                num_iterations: Optional[int] = None) -> SelectionResult:
