@@ -290,9 +290,9 @@ class _FirstCompletionBackend(ProcessPoolBackend):
         self.started_at = time.perf_counter()
         super().start(graphs, cache_dir, store=store)
 
-    def next_completed(self):
-        result = super().next_completed()
-        if self.first_completed_at is None:
+    def next_completed(self, timeout=None):
+        result = super().next_completed(timeout=timeout)
+        if result is not None and self.first_completed_at is None:
             self.first_completed_at = time.perf_counter()
         return result
 

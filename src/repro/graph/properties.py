@@ -21,6 +21,7 @@ one engine invocation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -149,11 +150,27 @@ class GraphProperties:
         missing = field_names - set(values)
         if missing:
             raise ValueError(f"missing graph properties: {sorted(missing)}")
+        cls(**values).validate()
         return cls(num_edges=int(values["num_edges"]),
                    num_vertices=int(values["num_vertices"]),
                    **{name: float(values[name])
                       for name in field_names
                       if name not in ("num_edges", "num_vertices")})
+
+    def validate(self) -> None:
+        """Raise a ``ValueError`` naming the first field that is not finite,
+        or a count (``num_edges``, ``num_vertices``) that is negative or not
+        integral.  Such values would turn every feature row they are batched
+        with into NaN or garbage."""
+        for name, value in self.as_dict().items():
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"graph property {name!r} must be finite, "
+                                 f"got {value!r}")
+            if name in ("num_edges", "num_vertices") and (
+                    number < 0 or not number.is_integer()):
+                raise ValueError(f"graph property {name!r} must be a "
+                                 f"non-negative integer, got {value!r}")
 
     def simple(self) -> Dict[str, float]:
         """Simple feature set: graph size only."""

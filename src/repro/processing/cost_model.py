@@ -58,7 +58,6 @@ class PartitionedGraphCostModel:
         cover = np.zeros((k, graph.num_vertices), dtype=bool)
         cover[partition.assignment, graph.src] = True
         cover[partition.assignment, graph.dst] = True
-        self._coverage = cover
 
         # Machine-level coverage counts per vertex (how many replicas of v
         # live on each machine).
@@ -71,15 +70,6 @@ class PartitionedGraphCostModel:
 
         #: Replica count per vertex (0 for isolated vertices).
         self.replica_counts = cover.sum(axis=0)
-
-        # The "master" replica of a vertex lives on the machine of the first
-        # partition covering it; master updates are produced locally and do
-        # not have to be received over the network there.
-        first_partition = np.where(self.replica_counts > 0,
-                                   np.argmax(cover, axis=0), -1)
-        self._master_machine = np.where(
-            first_partition >= 0,
-            self._machine_of_partition[np.clip(first_partition, 0, None)], -1)
 
     # ------------------------------------------------------------------ #
     def superstep_cost(self, active_vertices: np.ndarray,

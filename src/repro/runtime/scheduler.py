@@ -31,7 +31,6 @@ the artifact cache deliberately never holds.
 from __future__ import annotations
 
 import heapq
-import inspect
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -237,7 +236,6 @@ class Scheduler:
         failures: Dict[TaskId, int] = {}
         retry_heap: List[Tuple[float, int, Any]] = []
         retry_seq = 0
-        supports_timeout = self._backend_supports_timeout(backend)
         executed_since_checkpoint = 0
         try:
             while ready or in_flight or retry_heap:
@@ -265,11 +263,8 @@ class Scheduler:
                         time.sleep(max(0.0,
                                        retry_heap[0][0] - time.monotonic()))
                     continue
-                timeout = self._wait_timeout(dispatched, retry_heap)
-                if timeout is not None and not supports_timeout:
-                    timeout = None  # legacy backend: deadlines degrade
-                completion = (backend.next_completed() if timeout is None
-                              else backend.next_completed(timeout=timeout))
+                completion = backend.next_completed(
+                    timeout=self._wait_timeout(dispatched, retry_heap))
                 if completion is None:
                     for task, failure in self._expired_deadlines(dispatched,
                                                                  in_flight):
@@ -324,14 +319,6 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # Failure policy
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _backend_supports_timeout(backend: ExecutorBackend) -> bool:
-        try:
-            parameters = inspect.signature(backend.next_completed).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic backend
-            return False
-        return "timeout" in parameters
-
     def _wait_timeout(self, dispatched, retry_heap) -> Optional[float]:
         """How long the backend wait may block before the driver must act
         (a backoff timer firing or an in-flight deadline expiring)."""

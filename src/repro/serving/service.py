@@ -948,6 +948,8 @@ class SelectionService:
             raise ValueError(
                 f"unknown properties_mode {request.properties_mode!r}; "
                 f"expected one of {list(self.PROPERTIES_MODES)}")
+        if isinstance(request.graph, GraphProperties):
+            request.graph.validate()
         return request
 
     def submit(self, request: SelectionRequest) -> "Future[SelectionResult]":

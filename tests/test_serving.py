@@ -1,6 +1,7 @@
 """Tests for the serving subsystem: batched selection, model registry,
 SelectionService micro-batching, and the HTTP frontend (live sockets)."""
 
+import dataclasses
 import json
 import os
 import threading
@@ -29,6 +30,12 @@ from repro.serving.client import SelectionServiceError
 from repro.cli import main
 
 PARTITIONERS = ("2d", "dbh", "ne")
+
+#: A well-formed ``properties`` payload; malformed rows override one field.
+VALID_PROPERTIES = {"num_edges": 800, "num_vertices": 128,
+                    "mean_degree": 12.5, "density": 0.0492,
+                    "in_degree_skewness": 0.4, "out_degree_skewness": 0.6,
+                    "mean_triangles": 3.0, "mean_local_clustering": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +345,39 @@ class TestSelectionService:
                 assert lhs.predicted_end_to_end_seconds == pytest.approx(
                     rhs.predicted_end_to_end_seconds, rel=1e-9)
 
+    def test_malformed_properties_never_poison_a_batch(self, trained_system,
+                                                       query_graphs):
+        good = compute_properties(query_graphs[0], exact_triangles=False)
+        bad = dataclasses.replace(good, mean_degree=float("nan"))
+        expected = trained_system.select_partitioner(good, "pagerank", 2)
+        service = SelectionService(trained_system, max_batch_size=2,
+                                   batch_wait_seconds=0.05)
+        # Fail fast: the whole call raises before anything is predicted.
+        with pytest.raises(ValueError, match="mean_degree"):
+            service.submit_many([SelectionRequest(good, "pagerank", 2),
+                                 SelectionRequest(bad, "pagerank", 2)])
+        outcomes = [None, None]
+        barrier = threading.Barrier(2)
+
+        def worker(index: int, props: GraphProperties) -> None:
+            barrier.wait()
+            try:
+                outcomes[index] = service.select(props, "pagerank", 2)
+            except ValueError as error:
+                outcomes[index] = error
+
+        with service:
+            threads = [threading.Thread(target=worker, args=(i, props))
+                       for i, props in enumerate((good, bad))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        assert outcomes[0].selected == expected.selected
+        assert isinstance(outcomes[1], ValueError)
+        assert "'mean_degree'" in str(outcomes[1])
+
     def test_stop_answers_stragglers(self, trained_system, query_graphs):
         service = SelectionService(trained_system)
         service.start()
@@ -439,6 +479,12 @@ class TestHTTPServer:
           "num_partitions": 2}, "properties"),
         ({"graph": {"src": [0], "dst": [1]}, "algorithm": "sssp",
           "num_partitions": 2}, "no trained model"),
+        ({"properties": {**VALID_PROPERTIES, "num_edges": -5},
+          "algorithm": "pagerank", "num_partitions": 2}, "'num_edges'"),
+        ({"properties": {**VALID_PROPERTIES, "num_vertices": 95.7},
+          "algorithm": "pagerank", "num_partitions": 2}, "'num_vertices'"),
+        ({"properties": {**VALID_PROPERTIES, "mean_degree": float("nan")},
+          "algorithm": "pagerank", "num_partitions": 2}, "'mean_degree'"),
     ])
     def test_malformed_select_is_4xx(self, live_server, payload, fragment):
         client = SelectionClient(live_server.url)
