@@ -68,7 +68,7 @@ from repro.serving import (  # noqa: E402
 
 PARTITIONERS = ("2d", "dbh")
 
-#: The chaos plan: four fault kinds across four fault points.  One-shot
+#: The chaos plan: four fault kinds across five fault points.  One-shot
 #: specs share cross-process once-markers, so a crash injected into one
 #: worker is not replayed by its replacement.
 CHAOS_PLAN = ",".join([
@@ -77,6 +77,7 @@ CHAOS_PLAN = ",".join([
                                      # claim requeued after heartbeat lapse
     "artifact.write:torn:3",         # torn cache write -> read as a miss
     "checkpoint.append:torn:1",      # torn journal frame -> repaired
+    "queue.ack:torn:1",              # torn result file -> task respooled
     "queue.claim:delay:2:0.05",      # slow claim -> just slow, no failure
 ])
 
@@ -226,7 +227,8 @@ def run(quick=False):
          f"{chaos_stats.quarantined_tasks} tasks quarantined under "
          f"transient faults (want 0)"),
         ("chaos_faults_fired", len(fired) >= 3,
-         f"{len(fired)}/4 one-shot chaos faults fired ({', '.join(fired)})"),
+         f"{len(fired)}/{CHAOS_PLAN.count(',') + 1} one-shot chaos faults "
+         f"fired ({', '.join(fired)})"),
         ("poison_quarantined", quarantine is not None,
          "poisoned task kind raised QuarantineError"),
         ("poison_records", quarantine is not None

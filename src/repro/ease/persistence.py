@@ -12,6 +12,7 @@ import os
 import pickle
 from typing import Iterable, Union
 
+from ..atomicfile import write_atomic
 from .dataset import ProfileDataset
 from .pipeline import EASE
 
@@ -29,11 +30,10 @@ _FORMAT_VERSION = 1
 
 
 def _save(obj, path: str, kind: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    payload = {"format_version": _FORMAT_VERSION, "kind": kind, "object": obj}
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
+    # Pickle first, then replace: a failing pickle or a crash mid-write
+    # leaves the previous bundle or dataset at ``path`` intact.
+    write_atomic(path, pickle.dumps(
+        {"format_version": _FORMAT_VERSION, "kind": kind, "object": obj}))
 
 
 def _load(path: str, kind: str):

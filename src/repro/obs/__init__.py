@@ -1,8 +1,9 @@
 """Stdlib-only observability layer: metrics, traces, structured logs.
 
 Three pillars, each importable on its own and free of any dependency on the
-rest of :mod:`repro` (core modules import obs, never the reverse — an AST
-lint enforces both directions):
+rest of :mod:`repro` apart from the stdlib-only leaf :mod:`repro.atomicfile`
+(core modules import obs, never the reverse — an AST lint enforces both
+directions):
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   labeled counters, gauges and fixed-log-bucket histograms, a Prometheus

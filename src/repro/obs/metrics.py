@@ -27,17 +27,19 @@ worker able to answer ``GET /metrics`` for the whole pool:
   is meaningless across processes — keep per-worker truth by growing a
   ``pid`` label in the merged view.
 
-Everything is standard library only.
+Everything is standard library only (the slot writer,
+:mod:`repro.atomicfile`, is a stdlib-only leaf module).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from ..atomicfile import write_atomic
 
 __all__ = [
     "Counter",
@@ -506,15 +508,7 @@ class ScrapeDir:
         payload = {"pid": os.getpid(), "time": time.time(),
                    "snapshot": registry.snapshot()}
         path = self.slot_path()
-        fd, temp_path = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
-            raise
+        write_atomic(path, pickle.dumps(payload))
         return path
 
     def _iter_slots(self) -> Iterable[Tuple[int, str]]:

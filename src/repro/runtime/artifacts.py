@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Dict, Optional, Tuple
 
+from ..atomicfile import write_atomic
 from ..faults import fire, tear
 from ..obs import get_logger, get_registry
 
@@ -170,25 +170,11 @@ class ArtifactStore:
         path = self.path_for(key)
         if path is not None:
             torn = fire("artifact.write", key=repr(key))
-            directory = os.path.dirname(path)
-            os.makedirs(directory, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle)
-                if torn is not None:
-                    # Injected torn write: land a truncated file under the
-                    # final name, as a crash between write and rename on a
-                    # non-atomic filesystem would.
-                    with open(temp_path, "rb") as handle:
-                        data = handle.read()
-                    with open(temp_path, "wb") as handle:
-                        handle.write(tear(data, torn))
-                os.replace(temp_path, path)
-            except BaseException:
-                if os.path.exists(temp_path):
-                    os.remove(temp_path)
-                raise
+            data = pickle.dumps(value)
+            # An injected torn write lands a truncated file under the final
+            # name, as a crash between write and rename on a non-atomic
+            # filesystem would.
+            write_atomic(path, tear(data, torn) if torn else data)
             if self.max_bytes is not None:
                 self._enforce_limit(self.max_bytes, keep=path)
         return value
@@ -222,8 +208,9 @@ class ArtifactStore:
         ``keep`` protects the just-written file so a single artifact larger
         than the bound does not evict itself.  ``.tmp`` files from crashed
         writers are reclaimed first, but only once they are old enough to
-        rule out a live concurrent writer between ``mkstemp`` and its
-        atomic rename (workers legitimately share the cache directory).
+        rule out a live concurrent writer between the temp file of
+        :func:`~repro.atomicfile.write_atomic` and its rename (workers
+        legitimately share the cache directory).
         """
         import time
 

@@ -50,7 +50,6 @@ import pickle
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import traceback as traceback_module
@@ -58,6 +57,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..atomicfile import write_atomic
 from ..faults import FaultPlan, active_plan, active_state_dir, fire, \
     install_plan, tear
 from ..graph import Graph
@@ -318,20 +318,6 @@ def _remove_quietly(path: str) -> None:
         pass
 
 
-def _atomic_write(path: str, payload: Any) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(payload, handle)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.remove(temp_path)
-        raise
-
-
 class WorkerPoolBackend(ExecutorBackend):
     """Shared-directory task queue claimed by external worker processes.
 
@@ -441,11 +427,11 @@ class WorkerPoolBackend(ExecutorBackend):
             config["faults"] = plan.encode()
             config["faults_seed"] = plan.seed
             config["faults_state"] = state_dir
-        _atomic_write(self._path(_CONFIG_FILE), config)
+        write_atomic(self._path(_CONFIG_FILE), pickle.dumps(config))
         for fingerprint, graph in graphs.items():
             path = self._path("graphs", f"{fingerprint}.pkl")
             if not os.path.exists(path):
-                _atomic_write(path, _graph_to_arrays(graph))
+                write_atomic(path, pickle.dumps(_graph_to_arrays(graph)))
         self._last_stale_sweep = time.time()
         for _ in range(self.spawn_workers):
             self._processes.append(self._spawn_worker(self._spawn_index))
@@ -471,8 +457,8 @@ class WorkerPoolBackend(ExecutorBackend):
 
     # ------------------------------------------------------------------ #
     def submit(self, envelope):
-        _atomic_write(self._path("tasks", _task_filename(envelope.task_id)),
-                      envelope)
+        write_atomic(self._path("tasks", _task_filename(envelope.task_id)),
+                     pickle.dumps(envelope))
         self._outstanding.add(envelope.task_id)
         self._envelopes[envelope.task_id] = envelope
 
@@ -550,7 +536,8 @@ class WorkerPoolBackend(ExecutorBackend):
         self._logger.warning("torn_ack_respooled", task_id=repr(task_id),
                              result_file=name)
         add_event("queue.torn_ack", {"task_id": repr(task_id)})
-        _atomic_write(self._path("tasks", _task_filename(task_id)), envelope)
+        write_atomic(self._path("tasks", _task_filename(task_id)),
+                     pickle.dumps(envelope))
 
     def _sweep_stale_claims(self) -> None:
         """Requeue claims of crashed workers while the driver waits.
@@ -689,7 +676,7 @@ class WorkerPoolBackend(ExecutorBackend):
         "finish the in-flight task, final heartbeat, exit 0" — only a
         worker ignoring that for another grace period is killed."""
         try:
-            _atomic_write(self._path(_STOP_SENTINEL), b"stop")
+            write_atomic(self._path(_STOP_SENTINEL), b"stop")
         except OSError:
             pass
         for process in self._processes:
@@ -774,14 +761,10 @@ def _execute_claim(claimed_path: str, queue_dir: str,
     name = os.path.basename(claimed_path)[:-len(".task")] + ".result"
     result_path = os.path.join(queue_dir, "results", name)
     torn = fire("queue.ack", key=name)
-    _atomic_write(result_path, result)
-    if torn is not None:
-        # Injected torn ack: truncate the already-renamed result file, as
-        # a worker crash mid-ack on a non-atomic filesystem would leave it.
-        with open(result_path, "rb") as handle:
-            data = handle.read()
-        with open(result_path, "wb") as handle:
-            handle.write(tear(data, torn))
+    data = pickle.dumps(result)
+    # An injected torn ack lands a truncated result file, as a worker crash
+    # mid-ack on a non-atomic filesystem would leave it.
+    write_atomic(result_path, tear(data, torn) if torn else data)
     os.remove(claimed_path)
     _remove_quietly(claimed_path + _OWNER_SUFFIX)
 
@@ -821,6 +804,7 @@ class _WorkerHeartbeat:
                                   "processed": self.processed,
                                   "claim": self.current_claim,
                                   "stopping": stopping})
+            # Not write_atomic: a fixed per-pid temp leaves no stray temps.
             temp_path = self.path + ".tmp"
             with open(temp_path, "w") as handle:
                 handle.write(payload)

@@ -134,29 +134,6 @@ class ProfileRunStats:
 
 
 # --------------------------------------------------------------------------- #
-# Checkpoints
-# --------------------------------------------------------------------------- #
-def save_checkpoint(path: str, payloads: Dict[Any, Any]) -> None:
-    """Atomically persist completed task payloads for later resumption.
-
-    Writes the journal format (length-prefixed, checksummed frames);
-    incremental runs append frames instead via
-    :class:`~repro.runtime.journal.CheckpointJournal`.
-    """
-    CheckpointJournal(path).rewrite(payloads)
-
-
-def load_checkpoint(path: str) -> Dict[Any, Any]:
-    """Load a checkpoint written by :func:`save_checkpoint` (or ``{}``).
-
-    Journal files with a torn tail (crash or injected fault mid-append)
-    are repaired in place, keeping every intact frame.  Unreadable files
-    and files that are not journals are ignored, not errors.
-    """
-    return CheckpointJournal(path).load()
-
-
-# --------------------------------------------------------------------------- #
 # Executor
 # --------------------------------------------------------------------------- #
 class ProfileExecutor:

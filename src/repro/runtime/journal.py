@@ -20,10 +20,10 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import tempfile
 import zlib
 from typing import Any, Dict, Optional
 
+from ..atomicfile import write_atomic
 from ..faults import fire, tear
 from ..obs import get_logger, get_registry
 
@@ -132,16 +132,5 @@ class CheckpointJournal:
 
     def rewrite(self, items: Dict[Any, Any]) -> None:
         """Atomically replace the journal with a compacted one."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(JOURNAL_MAGIC)
-                for key, value in items.items():
-                    handle.write(_encode_frame(key, value))
-            os.replace(temp_path, self.path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
-            raise
+        write_atomic(self.path, JOURNAL_MAGIC + b"".join(
+            _encode_frame(key, value) for key, value in items.items()))

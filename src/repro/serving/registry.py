@@ -11,8 +11,9 @@ The registry is a directory of immutable model versions plus mutable tags:
 ``<version>`` is the truncated SHA-256 of the bundle bytes (the hashing
 convention of :class:`repro.runtime.artifacts.ArtifactStore`), so publishing
 the same trained system twice is idempotent and a version can never change
-under a tag.  All writes are atomic (temp file + rename), matching the
-artifact store's concurrency story.
+under a tag.  All writes are atomic: tags and repaired manifests go through
+:func:`repro.atomicfile.write_atomic`, and a new version's bundle and
+manifest are staged in a temporary directory published with one rename.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from ..atomicfile import write_atomic
 from ..ease.dataset import ProfileDataset
 from ..ease.persistence import load_ease, save_ease
 from ..ease.pipeline import EASE
@@ -112,17 +114,8 @@ class ModelRegistry:
 
     @staticmethod
     def _write_json_atomic(path: str, payload: Dict) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(temp_path, path)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
-            raise
+        write_atomic(path, json.dumps(payload, indent=2,
+                                      sort_keys=True).encode("utf-8"))
 
     # ------------------------------------------------------------------ #
     # Publish
@@ -141,6 +134,7 @@ class ModelRegistry:
         """
         self._check_name(name)
         os.makedirs(self._models_dir(name), exist_ok=True)
+        # Not write_atomic: bundle + manifest publish as one directory rename.
         fd, staging = tempfile.mkstemp(dir=self._models_dir(name),
                                        suffix=".bundle.tmp")
         os.close(fd)

@@ -53,7 +53,6 @@ from repro.runtime import (
     build_dataset,
 )
 from repro.runtime.backends import InlineBackend, _claim_next
-from repro.runtime.executor import load_checkpoint, save_checkpoint
 from repro.runtime.journal import JOURNAL_MAGIC
 
 PARTITIONERS = ("2d", "dbh")
@@ -255,6 +254,7 @@ class TestFailurePolicy:
 class TestCheckpointJournal:
     def test_append_and_load_roundtrip(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path / "cp.journal"))
+        assert journal.load() == {}  # absent file
         journal.append({("a", 1): {"x": 1}})
         journal.append({("b", 2): {"y": 2}})
         assert journal.load() == {("a", 1): {"x": 1}, ("b", 2): {"y": 2}}
@@ -316,12 +316,6 @@ class TestCheckpointJournal:
         assert foreign not in content
         assert journal.load() == {"new": 43}
         assert os.listdir(tmp_path) == ["cp.pkl"]  # no temp file left
-
-    def test_save_load_checkpoint_wrappers(self, tmp_path):
-        path = str(tmp_path / "cp.journal")
-        save_checkpoint(path, {("t", 0): {"p": 1}})
-        assert load_checkpoint(path) == {("t", 0): {"p": 1}}
-        assert load_checkpoint(str(tmp_path / "absent")) == {}
 
 
 # --------------------------------------------------------------------------- #

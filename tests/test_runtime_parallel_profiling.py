@@ -24,8 +24,12 @@ from repro.ease.persistence import (
     merge_datasets,
     save_dataset,
 )
-from repro.runtime import ArtifactStore, build_task_graph, graph_fingerprint
-from repro.runtime.executor import load_checkpoint, save_checkpoint
+from repro.runtime import (
+    ArtifactStore,
+    CheckpointJournal,
+    build_task_graph,
+    graph_fingerprint,
+)
 from repro.cli import main
 
 PARTITIONERS = ("2d", "dbh", "hdrf")
@@ -144,7 +148,7 @@ class TestCheckpointResume:
 
         # Drop every task of alternating units to simulate an interrupted
         # run (checkpoints are task-granular since the DAG refactor).
-        payloads = load_checkpoint(checkpoint)
+        payloads = CheckpointJournal(checkpoint).load()
         unit_tasks = {}
         for key in payloads:
             if key[0] in ("quality", "processing",
@@ -154,7 +158,7 @@ class TestCheckpointResume:
         for unit_key in dropped:
             for key in unit_tasks[unit_key]:
                 del payloads[key]
-        save_checkpoint(checkpoint, payloads)
+        CheckpointJournal(checkpoint).rewrite(payloads)
 
         resumed_profiler = make_profiler()
         resumed = resumed_profiler.profile(graphs, graphs,
@@ -173,11 +177,11 @@ class TestCheckpointResume:
         # Drop only the processing tasks: the quality metrics and timing of
         # every unit stay checkpointed, so resuming executes the workloads
         # (plus the partitions they consume) but never re-measures quality.
-        payloads = load_checkpoint(checkpoint)
+        payloads = CheckpointJournal(checkpoint).load()
         dropped = [key for key in payloads if key[0] == "processing"]
         for key in dropped:
             del payloads[key]
-        save_checkpoint(checkpoint, payloads)
+        CheckpointJournal(checkpoint).rewrite(payloads)
 
         resumed_profiler = make_profiler()
         resumed = resumed_profiler.profile(graphs, graphs,

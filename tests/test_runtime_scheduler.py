@@ -22,19 +22,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.atomicfile import write_atomic
 from repro.cli import main
 from repro.generators import generate_rmat
 from repro.ease import GraphProfiler
 from repro.ease.persistence import canonical_sorted
 from repro.runtime import (
     ArtifactStore,
+    CheckpointJournal,
     ProfileExecutor,
     WorkerPoolBackend,
     build_dataset,
     build_task_graph,
 )
 from repro.runtime.backends import _claim_next, _execute_claim
-from repro.runtime.executor import load_checkpoint, save_checkpoint
 
 PARTITIONERS = ("2d", "dbh")
 PARTITION_COUNTS = (2,)
@@ -245,8 +246,6 @@ class TestWorkerPoolBackend:
             assert os.listdir(os.path.join(queue_dir, subdir)) == []
 
     def test_foreign_and_duplicate_acks_are_ignored(self, tmp_path):
-        from repro.runtime.backends import _atomic_write
-
         queue_dir = str(tmp_path / "queue")
         backend = WorkerPoolBackend(queue_dir, spawn_workers=0,
                                     poll_interval=0.001)
@@ -254,10 +253,12 @@ class TestWorkerPoolBackend:
         # One real outstanding task, plus a foreign ack racing in from a
         # previous run's worker (e.g. acked after start()'s cleanup).
         backend._outstanding.add(("real",))
-        _atomic_write(os.path.join(queue_dir, "results", "a.result"),
-                      {"task_id": ("foreign",), "ok": True, "payload": 0})
-        _atomic_write(os.path.join(queue_dir, "results", "b.result"),
-                      {"task_id": ("real",), "ok": True, "payload": 42})
+        write_atomic(os.path.join(queue_dir, "results", "a.result"),
+                     pickle.dumps({"task_id": ("foreign",), "ok": True,
+                                   "payload": 0}))
+        write_atomic(os.path.join(queue_dir, "results", "b.result"),
+                     pickle.dumps({"task_id": ("real",), "ok": True,
+                                   "payload": 42}))
         task_id, payload = backend.next_completed()
         assert task_id == ("real",) and payload == 42
         # Both files were consumed; a duplicate ack of the completed task
@@ -284,7 +285,6 @@ class TestWorkerPoolBackend:
         # Spool every independent task by hand, then let the CLI worker
         # drain the directory and ack results.
         from repro.runtime.backends import TaskEnvelope, _task_filename
-        from repro.runtime.backends import _atomic_write, _graph_to_arrays
         from repro.runtime.tasks import PartitionTask
         from repro.runtime.jobs import graph_fingerprint
 
@@ -319,13 +319,13 @@ class TestMidDagResume:
         # Drop the quality tasks only: resuming must re-measure nothing
         # (wall-clock samples live in the checkpoint, not the cache) and the
         # timing records must be bit-identical to the first run.
-        payloads = load_checkpoint(checkpoint)
+        payloads = CheckpointJournal(checkpoint).load()
         timing_payloads = [key for key in payloads
                            if key[0] == "partitioning_time_task"]
         dropped = [key for key in payloads if key[0] == "quality"]
         for key in dropped:
             del payloads[key]
-        save_checkpoint(checkpoint, payloads)
+        CheckpointJournal(checkpoint).rewrite(payloads)
 
         resumed_profiler = make_profiler(partitioning_time_mode="wall_clock",
                                          time_repeats=2)
@@ -352,9 +352,9 @@ class TestMidDagResume:
         executor = ProfileExecutor(checkpoint_path=checkpoint,
                                    checkpoint_every=1)
         results, _ = executor.run(plan)
-        full = load_checkpoint(checkpoint)
+        full = CheckpointJournal(checkpoint).load()
         prefix = dict(sorted(full.items(), key=repr)[:len(full) // 3])
-        save_checkpoint(checkpoint, prefix)
+        CheckpointJournal(checkpoint).rewrite(prefix)
 
         resumed_profiler = make_profiler()
         resumed = resumed_profiler.profile(graphs, graphs,
