@@ -23,6 +23,13 @@ given the same array signature as the kernel it checks:
   ``repro.ease`` predictors (per-predictor scalers and log-target helpers ↔
   one ``TargetModel`` per model), compared on a trained system's scores,
   evaluations and importances
+* ``quality_metrics_pair_keys`` (packed ``(partition, vertex)`` keys through
+  ``np.unique``) and ``ReferenceCostModel`` (its own dense scatter) ↔
+  ``repro.partitioning.compute_quality_metrics`` and
+  ``repro.processing.PartitionedGraphCostModel`` reading
+  ``EdgePartition.coverage``; ``vertex_sets`` / ``source_vertex_sets`` /
+  ``destination_vertex_sets`` are the per-partition set loops of the same
+  counts
 
 ``tests/test_reference_oracle.py`` asserts byte-identical results between
 the two sides.  Nothing under ``src/`` imports this package.
@@ -33,9 +40,14 @@ from unittest import mock
 
 from .ml import ReferenceTreeRegressor, flatten
 from .partitioning import (
+    ReferenceCostModel,
+    destination_vertex_sets,
     hdrf_loop_assign,
     hep_loop_stream,
+    quality_metrics_pair_keys,
+    source_vertex_sets,
     two_ps_loop_assign,
+    vertex_sets,
 )
 from .predictors import (
     ReferenceProcessingPredictor,
@@ -109,6 +121,7 @@ __all__ = [
     "reference_loops",
     "reference_predictors",
     "reference_trees",
+    "ReferenceCostModel",
     "ReferenceProcessingPredictor",
     "ReferenceQualityPredictor",
     "ReferenceTimePredictor",
@@ -117,6 +130,10 @@ __all__ = [
     "hdrf_loop_assign",
     "two_ps_loop_assign",
     "hep_loop_stream",
+    "quality_metrics_pair_keys",
+    "vertex_sets",
+    "source_vertex_sets",
+    "destination_vertex_sets",
     "triangle_counts_sets",
     "local_clustering_sets",
     "sampled_triangle_stats_sets",

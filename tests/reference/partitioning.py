@@ -1,18 +1,29 @@
-"""Sequential per-edge formulations of the HDRF-style streaming partitioners.
+"""Sequential per-edge formulations of the HDRF-style streaming partitioners,
+and the earlier formulations of partition coverage.
 
-These are the seed loops the kernels in :mod:`repro.partitioning.kernels`
-replaced: every edge is scored against every partition with a dozen numpy
-calls.  They take the same arrays as the kernel they check, so a test can
-call either side with one argument list (or swap one for the other inside a
-partitioner).
+The three ``*_loop_*`` functions are the seed loops the kernels in
+:mod:`repro.partitioning.kernels` replaced: every edge is scored against
+every partition with a dozen numpy calls.  They take the same arrays as the
+kernel they check, so a test can call either side with one argument list (or
+swap one for the other inside a partitioner).
+
+The rest are the three ways coverage — which partitions hold an edge at
+vertex ``v`` — was built before ``EdgePartition.coverage``: per-partition
+vertex-set loops, packed ``(partition, vertex)`` keys through ``np.unique``
+for the quality metrics, and a dense scatter in the processing cost model.
 """
+
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.partitioning import EdgePartition
 from repro.partitioning.kernels import (
     replication_balance_scores,
     use_replica_bitmask,
 )
+from repro.partitioning.metrics import PartitionQualityMetrics
+from repro.processing import ClusterSpec
 
 
 def hdrf_loop_assign(src: np.ndarray, dst: np.ndarray, num_vertices: int,
@@ -216,3 +227,163 @@ def hep_loop_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
         else:
             replica_matrix[u, best] = True
             replica_matrix[v, best] = True
+
+
+# --------------------------------------------------------------------------- #
+# Coverage: per-partition vertex sets
+# --------------------------------------------------------------------------- #
+def vertex_sets(partition: EdgePartition) -> List[np.ndarray]:
+    """``V(p_i)``: vertices covered by each partition."""
+    covered = []
+    for p in range(partition.num_partitions):
+        mask = partition.assignment == p
+        vertices = np.union1d(partition.graph.src[mask],
+                              partition.graph.dst[mask])
+        covered.append(vertices)
+    return covered
+
+
+def source_vertex_sets(partition: EdgePartition) -> List[np.ndarray]:
+    """``V_src(p_i)``: source vertices covered by each partition."""
+    return [np.unique(partition.graph.src[partition.assignment == p])
+            for p in range(partition.num_partitions)]
+
+
+def destination_vertex_sets(partition: EdgePartition) -> List[np.ndarray]:
+    """``V_dst(p_i)``: destination vertices covered by each partition."""
+    return [np.unique(partition.graph.dst[partition.assignment == p])
+            for p in range(partition.num_partitions)]
+
+
+# --------------------------------------------------------------------------- #
+# Coverage: packed (partition, vertex) keys for the quality metrics
+# --------------------------------------------------------------------------- #
+def _balance(counts: Sequence[int]) -> float:
+    """max / avg of a list of per-partition counts (1.0 when empty)."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.size == 0:
+        return 1.0
+    average = counts.mean()
+    if average == 0:
+        return 1.0
+    return float(counts.max() / average)
+
+
+def _unique_pair_keys(partition: EdgePartition,
+                      vertices: np.ndarray) -> np.ndarray:
+    return np.unique(partition.assignment
+                     * np.int64(partition.graph.num_vertices) + vertices)
+
+
+def quality_metrics_pair_keys(partition: EdgePartition
+                              ) -> PartitionQualityMetrics:
+    """All five quality metrics from packed-pair-key ``np.unique`` counts."""
+    graph = partition.graph
+    k = partition.num_partitions
+
+    edge_counts = partition.edge_counts()
+
+    # One unique pass per endpoint over packed (partition, vertex) keys; the
+    # pair arrays are shared by the per-endpoint counts, the union coverage
+    # and the replication factor, so the dominant sort work happens exactly
+    # twice (plus one merge for the union).
+    src_pairs = _unique_pair_keys(partition, graph.src)
+    dst_pairs = _unique_pair_keys(partition, graph.dst)
+    src_counts = np.bincount((src_pairs // graph.num_vertices).astype(np.int64),
+                             minlength=k)
+    dst_counts = np.bincount((dst_pairs // graph.num_vertices).astype(np.int64),
+                             minlength=k)
+    unique_both = np.union1d(src_pairs, dst_pairs)
+    covered_counts = np.bincount((unique_both // graph.num_vertices).astype(np.int64),
+                                 minlength=k)
+
+    covered_vertices = np.unique(unique_both % graph.num_vertices)
+    num_covered = covered_vertices.size
+    rf = float(covered_counts.sum() / num_covered) if num_covered else 0.0
+
+    return PartitionQualityMetrics(
+        replication_factor=rf,
+        edge_balance=_balance(edge_counts),
+        vertex_balance=_balance(covered_counts),
+        source_balance=_balance(src_counts),
+        destination_balance=_balance(dst_counts),
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Coverage: the processing cost model's dense scatter
+# --------------------------------------------------------------------------- #
+class ReferenceCostModel:
+    """``PartitionedGraphCostModel`` with its cover built by a scatter of its
+    own (constructor and ``superstep_cost`` verbatim)."""
+
+    def __init__(self, partition: EdgePartition, cluster: ClusterSpec) -> None:
+        self.partition = partition
+        self.cluster = cluster
+        graph = partition.graph
+        k = partition.num_partitions
+
+        self._machine_of_partition = np.array(
+            [cluster.machine_of_partition(p) for p in range(k)], dtype=np.int64)
+        self._machine_of_edge = self._machine_of_partition[partition.assignment]
+
+        # Coverage matrix: cover[p, v] == True when partition p holds at least
+        # one edge incident to v.  The matrix is k x |V| booleans, which is
+        # small at simulator scale and makes the per-superstep charges pure
+        # numpy reductions.
+        cover = np.zeros((k, graph.num_vertices), dtype=bool)
+        cover[partition.assignment, graph.src] = True
+        cover[partition.assignment, graph.dst] = True
+
+        # Machine-level coverage counts per vertex (how many replicas of v
+        # live on each machine).
+        num_machines = cluster.num_machines
+        machine_cover = np.zeros((num_machines, graph.num_vertices),
+                                 dtype=np.int64)
+        for p in range(k):
+            machine_cover[self._machine_of_partition[p]] += cover[p]
+        self._machine_cover = machine_cover
+
+        #: Replica count per vertex (0 for isolated vertices).
+        self.replica_counts = cover.sum(axis=0)
+
+    def superstep_cost(self, active_vertices: np.ndarray,
+                       updated_vertices: np.ndarray, edge_work: float,
+                       vertex_work: float,
+                       message_size: float) -> Tuple[float, float, int]:
+        graph = self.partition.graph
+        cluster = self.cluster
+        num_machines = cluster.num_machines
+
+        active_vertices = np.asarray(active_vertices, dtype=bool)
+        updated_vertices = np.asarray(updated_vertices, dtype=bool)
+
+        active_edge_mask = active_vertices[graph.src]
+        if active_edge_mask.any():
+            edges_per_machine = np.bincount(
+                self._machine_of_edge[active_edge_mask],
+                minlength=num_machines)
+        else:
+            edges_per_machine = np.zeros(num_machines, dtype=np.int64)
+
+        if active_vertices.any():
+            vertices_per_machine = self._machine_cover[:, active_vertices].sum(axis=1)
+        else:
+            vertices_per_machine = np.zeros(num_machines, dtype=np.int64)
+
+        per_machine_compute = (
+            cluster.edge_compute_cost * edge_work * edges_per_machine
+            + cluster.vertex_compute_cost * vertex_work * vertices_per_machine)
+        compute_seconds = float(per_machine_compute.max(initial=0.0))
+
+        if updated_vertices.any():
+            replicas_of_updated = self.replica_counts[updated_vertices]
+            messages = float(np.maximum(replicas_of_updated - 1, 0).sum())
+            communication_seconds = (
+                messages * message_size
+                / (cluster.network_bandwidth * num_machines)
+                + cluster.network_latency)
+        else:
+            communication_seconds = cluster.network_latency
+
+        return compute_seconds, communication_seconds, int(active_edge_mask.sum())

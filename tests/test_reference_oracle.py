@@ -35,7 +35,13 @@ buffer) rather than closeness:
   predictor classes (:func:`reference.reference_predictors`) over feature
   sets × replication feature sets × seeds, compared on every candidate's
   scores, each predictor's ``evaluate`` and the quality importances, plus
-  the per-algorithm extension path of the processing-time predictor.
+  the per-algorithm extension path of the processing-time predictor;
+* partition coverage — every registry partitioner × the same k grid × the
+  same graphs: ``compute_quality_metrics`` and the five metric functions
+  against the packed-pair-key formulation, float for float, and
+  ``PartitionedGraphCostModel`` (replica counts and ``superstep_cost`` on
+  seeded masks, with k machines and with 3, where partitions share a
+  machine) against the cost model's own dense scatter.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -48,11 +54,13 @@ import numpy as np
 import pytest
 
 from reference import (
+    ReferenceCostModel,
     ReferenceProcessingPredictor,
     ReferenceQualityPredictor,
     ReferenceTreeRegressor,
     flatten,
     local_clustering_sets,
+    quality_metrics_pair_keys,
     reference_loops,
     reference_predictors,
     reference_trees,
@@ -84,8 +92,15 @@ from repro.graph.property_engine import (
 from repro.partitioning import (
     ALL_PARTITIONER_NAMES,
     QUALITY_METRIC_NAMES,
+    compute_quality_metrics,
     create_partitioner,
+    destination_balance,
+    edge_balance,
+    replication_factor,
+    source_balance,
+    vertex_balance,
 )
+from repro.processing import ClusterSpec, PartitionedGraphCostModel
 from repro.runtime import ProfileExecutor, build_dataset, build_task_graph
 from repro.runtime.tasks import PropertiesTask
 from repro.serving.registry import dataset_fingerprint
@@ -171,6 +186,48 @@ def test_sampled_stats_match_reference(graph_name, block_pairs):
             graph, sample_size, seed, block_pairs=block_pairs)
         assert production == sampled_triangle_stats_sets(graph, sample_size,
                                                          seed)
+
+
+# --------------------------------------------------------------------------- #
+# Partition coverage: quality metrics and cost model vs. the parent's own
+# formulations of it
+# --------------------------------------------------------------------------- #
+QUALITY_FUNCTIONS = (replication_factor, edge_balance, vertex_balance,
+                     source_balance, destination_balance)
+
+
+@functools.lru_cache(maxsize=None)
+def _partition(name: str, k: int, graph_name: str):
+    return create_partitioner(name)(_graph(graph_name), k)
+
+
+def _superstep_masks(num_vertices: int, seed: int):
+    """(active, updated) pairs: random at two densities, all and none."""
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.random(num_vertices) < share, rng.random(num_vertices) < share)
+             for share in (0.2, 0.7)]
+    everything = np.ones(num_vertices, dtype=bool)
+    return pairs + [(everything, everything), (~everything, ~everything)]
+
+
+@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+@pytest.mark.parametrize("k", ORACLE_K_GRID)
+@pytest.mark.parametrize("name", ALL_PARTITIONER_NAMES)
+def test_coverage_readers_match_reference(name, k, graph_name):
+    partition = _partition(name, k, graph_name)
+    reference = quality_metrics_pair_keys(partition).as_dict()
+    assert compute_quality_metrics(partition).as_dict() == reference
+    for metric in QUALITY_FUNCTIONS:
+        assert metric(partition) == reference[metric.__name__]
+
+    masks = _superstep_masks(partition.graph.num_vertices, seed=k)
+    for cluster in (ClusterSpec(num_machines=k), ClusterSpec(num_machines=3)):
+        production = PartitionedGraphCostModel(partition, cluster)
+        expected = ReferenceCostModel(partition, cluster)
+        _assert_bytes_equal(production.replica_counts, expected.replica_counts)
+        for active, updated in masks:
+            assert (production.superstep_cost(active, updated, 1.5, 0.5, 2.0)
+                    == expected.superstep_cost(active, updated, 1.5, 0.5, 2.0))
 
 
 # --------------------------------------------------------------------------- #
