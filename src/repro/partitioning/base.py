@@ -10,8 +10,8 @@ this package consumes a :class:`~repro.graph.Graph` and produces an
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -63,65 +63,21 @@ class EdgePartition:
         """Number of edges per partition."""
         return np.bincount(self.assignment, minlength=self.num_partitions)
 
-    def edges_of_partition(self, partition: int) -> np.ndarray:
-        """Edge ids assigned to ``partition``."""
-        return np.flatnonzero(self.assignment == partition)
+    def coverage(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(k, |V|)`` boolean source and destination covers.
 
-    def vertex_sets(self) -> List[np.ndarray]:
-        """``V(p_i)``: vertices covered by each partition."""
-        covered = []
-        for p in range(self.num_partitions):
-            mask = self.assignment == p
-            vertices = np.union1d(self.graph.src[mask], self.graph.dst[mask])
-            covered.append(vertices)
-        return covered
-
-    def source_vertex_sets(self) -> List[np.ndarray]:
-        """``V_src(p_i)``: source vertices covered by each partition."""
-        return [np.unique(self.graph.src[self.assignment == p])
-                for p in range(self.num_partitions)]
-
-    def destination_vertex_sets(self) -> List[np.ndarray]:
-        """``V_dst(p_i)``: destination vertices covered by each partition."""
-        return [np.unique(self.graph.dst[self.assignment == p])
-                for p in range(self.num_partitions)]
-
-    # ------------------------------------------------------------------ #
-    # Vectorized coverage counts: one np.unique pass over packed
-    # (partition, vertex) keys instead of materializing per-partition vertex
-    # sets in a Python loop.  The *_sets methods above stay for callers that
-    # need the actual vertex ids.
-    # ------------------------------------------------------------------ #
-    def _unique_pair_keys(self, vertices: np.ndarray) -> np.ndarray:
-        return np.unique(self.assignment * np.int64(self.graph.num_vertices)
-                         + vertices)
-
-    def _per_partition_unique_counts(self, vertices: np.ndarray) -> np.ndarray:
-        pairs = self._unique_pair_keys(vertices)
-        return np.bincount((pairs // self.graph.num_vertices).astype(np.int64),
-                           minlength=self.num_partitions)
-
-    def vertex_counts(self) -> np.ndarray:
-        """``|V(p_i)|`` per partition (union of endpoint coverage)."""
-        pairs = np.union1d(self._unique_pair_keys(self.graph.src),
-                           self._unique_pair_keys(self.graph.dst))
-        return np.bincount((pairs // self.graph.num_vertices).astype(np.int64),
-                           minlength=self.num_partitions)
-
-    def source_vertex_counts(self) -> np.ndarray:
-        """``|V_src(p_i)|`` per partition."""
-        return self._per_partition_unique_counts(self.graph.src)
-
-    def destination_vertex_counts(self) -> np.ndarray:
-        """``|V_dst(p_i)|`` per partition."""
-        return self._per_partition_unique_counts(self.graph.dst)
-
-    def vertex_replication_counts(self) -> np.ndarray:
-        """Number of partitions each vertex is replicated to (0 if isolated)."""
-        pairs = np.union1d(self._unique_pair_keys(self.graph.src),
-                           self._unique_pair_keys(self.graph.dst))
-        return np.bincount((pairs % self.graph.num_vertices).astype(np.int64),
-                           minlength=self.graph.num_vertices)
+        ``src[p, v]`` is True when partition ``p`` holds an edge whose source
+        is ``v`` (row ``p`` is ``V_src(p_i)``), ``dst`` likewise for
+        destinations, and ``src | dst`` is ``V(p_i)``.  The quality metrics
+        and the processing cost model read every count they need as row or
+        column sums of these two arrays (``2·k·|V|`` bytes).
+        """
+        shape = (self.num_partitions, self.graph.num_vertices)
+        src = np.zeros(shape, dtype=bool)
+        dst = np.zeros(shape, dtype=bool)
+        src[self.assignment, self.graph.src] = True
+        dst[self.assignment, self.graph.dst] = True
+        return src, dst
 
 
 class EdgePartitioner(abc.ABC):

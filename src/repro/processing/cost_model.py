@@ -51,25 +51,24 @@ class PartitionedGraphCostModel:
             [cluster.machine_of_partition(p) for p in range(k)], dtype=np.int64)
         self._machine_of_edge = self._machine_of_partition[partition.assignment]
 
-        # Coverage matrix: cover[p, v] == True when partition p holds at least
-        # one edge incident to v.  The matrix is k x |V| booleans, which is
-        # small at simulator scale and makes the per-superstep charges pure
+        # covered[p, v] is True when partition p holds at least one edge
+        # incident to v: the partition's own coverage (k x |V| booleans),
+        # folded onto machines below so the per-superstep charges are pure
         # numpy reductions.
-        cover = np.zeros((k, graph.num_vertices), dtype=bool)
-        cover[partition.assignment, graph.src] = True
-        cover[partition.assignment, graph.dst] = True
+        src, dst = partition.coverage()
+        covered = src | dst
 
         # Machine-level coverage counts per vertex (how many replicas of v
         # live on each machine).
         num_machines = cluster.num_machines
-        machine_cover = np.zeros((num_machines, graph.num_vertices),
-                                 dtype=np.int64)
+        machine_replicas = np.zeros((num_machines, graph.num_vertices),
+                                    dtype=np.int64)
         for p in range(k):
-            machine_cover[self._machine_of_partition[p]] += cover[p]
-        self._machine_cover = machine_cover
+            machine_replicas[self._machine_of_partition[p]] += covered[p]
+        self._machine_replicas = machine_replicas
 
         #: Replica count per vertex (0 for isolated vertices).
-        self.replica_counts = cover.sum(axis=0)
+        self.replica_counts = covered.sum(axis=0)
 
     # ------------------------------------------------------------------ #
     def superstep_cost(self, active_vertices: np.ndarray,
@@ -115,7 +114,7 @@ class PartitionedGraphCostModel:
         # A vertex program runs once per replica of an active vertex (mirrors
         # execute the same program on their local edges in GraphX).
         if active_vertices.any():
-            vertices_per_machine = self._machine_cover[:, active_vertices].sum(axis=1)
+            vertices_per_machine = self._machine_replicas[:, active_vertices].sum(axis=1)
         else:
             vertices_per_machine = np.zeros(num_machines, dtype=np.int64)
 

@@ -50,15 +50,18 @@ class ProcessingEngine:
 
         ``max_supersteps`` overrides the algorithm's iteration count (for
         fixed-iteration algorithms) or its safety bound (for convergence
-        algorithms).
+        algorithms); 0 runs no superstep.
         """
+        if max_supersteps is not None and max_supersteps < 0:
+            raise ValueError("max_supersteps must be >= 0")
         graph = partition.graph
         cluster = self._resolve_cluster(partition)
         cost_model = PartitionedGraphCostModel(partition, cluster)
 
         state = algorithm.initial_state(graph)
         active = algorithm.initial_active(graph)
-        limit = max_supersteps or algorithm.num_iterations
+        limit = (algorithm.num_iterations if max_supersteps is None
+                 else max_supersteps)
 
         costs = []
         total_seconds = 0.0

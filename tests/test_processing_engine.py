@@ -132,6 +132,20 @@ class TestEngine:
                                         max_supersteps=1)
         assert result.num_supersteps == 1
 
+    @pytest.mark.parametrize("algorithm", (PageRank(num_iterations=3),
+                                           ConnectedComponents()))
+    def test_zero_max_supersteps_runs_none(self, medium_graph, algorithm):
+        partition = create_partitioner("dbh")(medium_graph, 4)
+        result = ProcessingEngine().run(partition, algorithm, max_supersteps=0)
+        assert result.num_supersteps == 0
+        assert result.total_seconds == 0.0
+        assert result.superstep_costs == []
+
+    def test_negative_max_supersteps_is_rejected(self, medium_graph):
+        partition = create_partitioner("dbh")(medium_graph, 4)
+        with pytest.raises(ValueError, match="max_supersteps"):
+            ProcessingEngine().run(partition, PageRank(), max_supersteps=-1)
+
     def test_default_cluster_matches_partition_count(self, medium_graph):
         partition = create_partitioner("dbh")(medium_graph, 8)
         engine = ProcessingEngine()

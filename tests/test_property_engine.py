@@ -368,23 +368,29 @@ class TestVectorizedPartitionCounts:
            st.integers(1, 6), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_counts_match_sets(self, edges, k, assignment_seed):
+        from reference import (
+            destination_vertex_sets,
+            source_vertex_sets,
+            vertex_sets,
+        )
         from repro.partitioning.base import EdgePartition
 
         graph = Graph.from_edges(edges, num_vertices=26)
         rng = np.random.default_rng(assignment_seed)
         assignment = rng.integers(0, k, size=graph.num_edges)
         partition = EdgePartition(graph, k, assignment)
-        assert partition.vertex_counts().tolist() == [
-            v.size for v in partition.vertex_sets()]
-        assert partition.source_vertex_counts().tolist() == [
-            v.size for v in partition.source_vertex_sets()]
-        assert partition.destination_vertex_counts().tolist() == [
-            v.size for v in partition.destination_vertex_sets()]
+        src, dst = partition.coverage()
+        covered = src | dst
+        assert covered.sum(axis=1).tolist() == [
+            v.size for v in vertex_sets(partition)]
+        assert src.sum(axis=1).tolist() == [
+            v.size for v in source_vertex_sets(partition)]
+        assert dst.sum(axis=1).tolist() == [
+            v.size for v in destination_vertex_sets(partition)]
         reference = np.zeros(graph.num_vertices, dtype=np.int64)
-        for vertices in partition.vertex_sets():
+        for vertices in vertex_sets(partition):
             reference[vertices] += 1
-        np.testing.assert_array_equal(partition.vertex_replication_counts(),
-                                      reference)
+        np.testing.assert_array_equal(covered.sum(axis=0), reference)
 
 
 class TestPropertiesCLI:
