@@ -6,10 +6,10 @@ delays produces a profile **record-identical** to the fault-free baseline —
 retries, stale-claim requeues with heartbeat vetoes, checkpoint repair and
 corrupt-artifact discards absorb every fault — while genuinely poisoned
 tasks are *quarantined* (bounded retries, dependents skipped, the failure
-reported) instead of retried forever.  On the serving side, a resolver
-stalled past the exact-extraction deadline must degrade to approximate
-properties rather than hang, and repeated internal errors must trip the
-per-model circuit breaker into fast ``503 + Retry-After`` rejections.
+reported) instead of retried forever.  On the serving side, a stalled
+property resolver must still answer every request, and repeated internal
+errors must trip the per-model circuit breaker into fast ``503 +
+Retry-After`` rejections.
 
 Four phases:
 
@@ -24,7 +24,7 @@ Four phases:
    dependents skipped, instead of looping forever;
 4. **serving** — a trained service answering requests while the property
    resolver is (a) stalled, then (b) failing; gate: every request is
-   answered (degraded ``200`` or breaker ``503 + Retry-After``), never
+   answered (a plain ``200`` or breaker ``503 + Retry-After``), never
    hung, and the breaker transitions appear on ``/metrics``.
 
 ``--quick`` is the CI smoke mode: tiny corpus, the same gates, no timing.
@@ -157,11 +157,10 @@ def run_poison(graphs):
 
 
 def run_serving(graphs):
-    """Degraded answers under a stalled resolver, 503s under a failing one."""
+    """200s under a stalled resolver, 503s under a failing one."""
     trained = EASE(partitioner_names=PARTITIONERS).train(
         make_profiler().profile(graphs, graphs))
-    service = SelectionService(trained, exact_deadline_seconds=0.05,
-                               breaker_threshold=3,
+    service = SelectionService(trained, breaker_threshold=3,
                                breaker_reset_seconds=30.0)
     core = RequestCore(ModelRouter({"default": service}))
 
@@ -174,7 +173,7 @@ def run_serving(graphs):
             "goal": "end_to_end"})
 
     try:
-        # (a) resolver stalled past the deadline: every answer degraded 200.
+        # (a) resolver stalled: every request still answers a plain 200.
         install_plan(FaultPlan.parse(
             "serving.resolve_properties:delay:*:0.2", seed=11))
         slow = [request(40 + index) for index in range(3)]
@@ -208,8 +207,8 @@ def run(quick=False):
         shutil.rmtree(workdir, ignore_errors=True)
 
     identical = datasets_identical(chaos_dataset, reference)
-    degraded_ok = all(
-        r.status == 200 and r.payload.get("degraded") is True for r in slow)
+    stalled_ok = all(
+        r.status == 200 and "degraded" not in r.payload for r in slow)
     failing_statuses = [r.status for r in failing]
     breaker_ok = (failing_statuses[:3] == [500, 500, 500]
                   and all(s == 503 for s in failing_statuses[3:]))
@@ -236,9 +235,9 @@ def run(quick=False):
          and quarantine.stats.skipped_tasks > 0,
          "quarantine records carry the poisoned kind and dependents "
          "were skipped"),
-        ("serving_degraded", degraded_ok,
+        ("serving_degraded", stalled_ok,
          f"{sum(r.status == 200 for r in slow)}/{len(slow)} stalled-resolver "
-         f"requests answered degraded within the deadline"),
+         f"requests answered 200 with no 'degraded' key"),
         ("serving_breaker", breaker_ok and retry_after_ok,
          f"failing-resolver statuses {failing_statuses} "
          f"(want three 500s then 503s with Retry-After)"),
@@ -261,7 +260,7 @@ def run(quick=False):
              f"{len(quarantine.records)} quarantined, "
              f"{quarantine.stats.skipped_tasks} dependents skipped"],
             ["serving (stalled resolver)", "-",
-             f"degraded={service.stats.degraded}"],
+             f"statuses={[r.status for r in slow]}"],
             ["serving (failing resolver)", "-",
              f"statuses={failing_statuses}"],
         ],
@@ -273,7 +272,7 @@ def run(quick=False):
     failed = [gate for gate, passed, _ in gates if not passed]
     assert not failed, f"fault-recovery gates failed: {failed}"
     print("fault recovery soak passed: chaos run record-identical, poison "
-          "quarantined, serving degraded/shed but never hung")
+          "quarantined, serving answered/shed but never hung")
 
 
 if pytest is not None:

@@ -492,9 +492,6 @@ def _build_router(args: argparse.Namespace):
         max_batch_size=args.max_batch_size,
         batch_wait_seconds=args.batch_wait_ms / 1000.0,
         max_inflight=args.max_inflight,
-        approximate_wedge_budget=args.approximate_wedge_budget,
-        exact_deadline_seconds=(args.exact_deadline_ms / 1000.0
-                                if args.exact_deadline_ms else None),
         breaker_threshold=args.breaker_threshold,
         breaker_reset_seconds=args.breaker_reset_seconds)
     return router, registry
@@ -928,11 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission limit per model and worker process: "
                             "requests beyond this many in flight are shed "
                             "with 429 + Retry-After (default: unlimited)")
-    serve.add_argument("--exact-deadline-ms", type=float, default=None,
-                       help="deadline on exact property extraction; past "
-                            "it a request is answered from approximate "
-                            "properties with a degraded:true marker "
-                            "(default: never degrade)")
     serve.add_argument("--breaker-threshold", type=int, default=5,
                        help="consecutive internal errors before the "
                             "per-model circuit breaker opens and sheds "
@@ -940,10 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--breaker-reset-seconds", type=float, default=5.0,
                        help="how long an open circuit breaker waits before "
                             "half-open probe requests (default 5.0)")
-    serve.add_argument("--approximate-wedge-budget", type=int, default=None,
-                       help="wedge-sample cap of properties_mode="
-                            "'approximate' requests (bounds first-hit "
-                            "latency; default: the library default budget)")
     serve.add_argument("--watch-interval", type=float, default=0.0,
                        metavar="SECONDS",
                        help="poll the registry this often and auto-reload "

@@ -84,10 +84,6 @@ class SelectionRequest:
 
     ``graph`` may be a full :class:`Graph` or precomputed
     :class:`GraphProperties` — the cheap path a serving caller uses.
-    ``properties_mode`` records how raw graphs resolve their properties:
-    ``"exact"`` (the sampled-exact default) or ``"approximate"`` (bounded
-    wedge-sampling sketches).  The serving result cache keys on it, so
-    estimates never answer exact requests or vice versa.
     """
 
     graph: Union[Graph, GraphProperties]
@@ -95,7 +91,6 @@ class SelectionRequest:
     num_partitions: int
     goal: str = OptimizationGoal.END_TO_END
     num_iterations: Optional[int] = None
-    properties_mode: str = "exact"
 
 
 class PartitionerSelector:

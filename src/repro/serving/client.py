@@ -163,26 +163,20 @@ class SelectionClient:
     def select(self, graph: Union[Graph, GraphProperties, Dict, str],
                algorithm: str, num_partitions: int,
                goal: str = "end_to_end",
-               num_iterations: Optional[int] = None,
-               properties_mode: Optional[str] = None) -> Dict:
+               num_iterations: Optional[int] = None) -> Dict:
         payload = _graph_payload(graph)
         payload.update({"algorithm": algorithm,
                         "num_partitions": num_partitions, "goal": goal})
         if num_iterations is not None:
             payload["num_iterations"] = num_iterations
-        if properties_mode is not None:
-            payload["properties_mode"] = properties_mode
         return self._request("/v1/select", payload)
 
     def predict(self, graph: Union[Graph, GraphProperties, Dict, str],
                 algorithm: str, num_partitions: int,
-                num_iterations: Optional[int] = None,
-                properties_mode: Optional[str] = None) -> Dict:
+                num_iterations: Optional[int] = None) -> Dict:
         payload = _graph_payload(graph)
         payload.update({"algorithm": algorithm,
                         "num_partitions": num_partitions})
         if num_iterations is not None:
             payload["num_iterations"] = num_iterations
-        if properties_mode is not None:
-            payload["properties_mode"] = properties_mode
         return self._request("/v1/predict", payload)

@@ -35,10 +35,9 @@ Endpoints:
     Body: ``{"graph": {...}}`` or ``{"properties": {...}}`` or
     ``{"graph_fingerprint": "..."}`` plus ``algorithm``/``num_partitions``
     (+ ``goal`` for select, optional ``num_iterations``, optional
-    ``model`` routing tag, optional ``properties_mode``:
-    ``"exact"``/``"approximate"``).  Approximate-mode responses carry a
-    ``properties_extraction`` object with the estimator's error bounds and
-    budget accounting.
+    ``model`` routing tag).  Raw graphs resolve their properties through
+    the service's one sampled extraction; a request for any other property
+    mode is a ``400``.
 """
 
 from __future__ import annotations
@@ -155,10 +154,18 @@ def parse_graph_payload(
     if not isinstance(graph, dict) or "src" not in graph or "dst" not in graph:
         raise BadRequest("'graph' must be an object with 'src' and 'dst' "
                          "edge arrays")
+    num_vertices = graph.get("num_vertices")
+    if num_vertices is not None and (not isinstance(num_vertices, int)
+                                     or isinstance(num_vertices, bool)):
+        raise BadRequest("invalid graph: 'num_vertices' must be an integer")
     try:
-        return Graph(np.asarray(graph["src"], dtype=np.int64),
-                     np.asarray(graph["dst"], dtype=np.int64),
-                     num_vertices=graph.get("num_vertices"),
+        src, dst = np.asarray(graph["src"]), np.asarray(graph["dst"])
+        # Empty JSON lists decode as float arrays; anything else must
+        # already be integral (no truncated floats, strings or booleans).
+        if any(ends.size and ends.dtype.kind not in "iu"
+               for ends in (src, dst)):
+            raise ValueError("'src' and 'dst' must be integer arrays")
+        return Graph(src, dst, num_vertices=num_vertices,
                      name=str(graph.get("name", "request-graph")))
     except (TypeError, ValueError) as error:
         raise BadRequest(f"invalid graph: {error}") from error
@@ -187,13 +194,12 @@ def parse_job_payload(payload: Dict, require_goal: bool,
             not isinstance(num_iterations, int)
             or isinstance(num_iterations, bool) or num_iterations < 1):
         raise BadRequest("'num_iterations' must be a positive integer")
-    properties_mode = payload.get("properties_mode", "exact")
-    if properties_mode not in ("exact", "approximate"):
-        raise BadRequest("'properties_mode' must be 'exact' or 'approximate'")
+    if payload.get("properties_mode", "exact") != "exact":
+        raise BadRequest("'properties_mode' must be 'exact': approximate "
+                         "property extraction is not served")
     return {"graph": graph, "algorithm": algorithm,
             "num_partitions": num_partitions, "goal": goal,
-            "num_iterations": num_iterations,
-            "properties_mode": properties_mode}
+            "num_iterations": num_iterations}
 
 
 def _header(headers, name: str) -> Optional[str]:
@@ -404,40 +410,17 @@ class RequestCore:
                                     require_goal=path == "/v1/select",
                                     resolver=resolver)
             try:
-                graph = job["graph"]
-                properties_mode = job["properties_mode"]
-                degraded = False
-                extraction_info = None
-                if properties_mode == "approximate":
-                    # Resolve once with metadata so the response can carry
-                    # the estimator's error bounds; the resolved properties
-                    # flow into the selection path directly (no second
-                    # extraction, no double counting).
-                    graph, extraction_info = \
-                        service.resolve_properties_with_info(
-                            graph, properties_mode)
-                elif service.exact_deadline_seconds is not None:
-                    # Deadline-bounded exact extraction; past the deadline
-                    # the request degrades to approximate properties and
-                    # the rest of the pipeline (result-cache key included)
-                    # runs in approximate mode.
-                    graph, extraction_info, degraded = \
-                        service.resolve_for_request(graph, properties_mode)
-                    if degraded:
-                        properties_mode = "approximate"
                 if path == "/v1/select":
                     result = service.select(
-                        graph, job["algorithm"],
+                        job["graph"], job["algorithm"],
                         job["num_partitions"], goal=job["goal"],
-                        num_iterations=job["num_iterations"],
-                        properties_mode=properties_mode)
+                        num_iterations=job["num_iterations"])
                     answer = _selection_payload(result)
                 else:
                     scores = service.predict(
-                        graph, job["algorithm"],
+                        job["graph"], job["algorithm"],
                         job["num_partitions"],
-                        num_iterations=job["num_iterations"],
-                        properties_mode=properties_mode)
+                        num_iterations=job["num_iterations"])
                     answer = {
                         "algorithm": job["algorithm"],
                         "num_partitions": job["num_partitions"],
@@ -453,10 +436,6 @@ class RequestCore:
                 return self.error(500, f"internal error: {error}")
             breaker.record_success()
             answer["model"] = tag
-            if degraded:
-                answer["degraded"] = True
-            if extraction_info is not None:
-                answer["properties_extraction"] = extraction_info
             return Response(200, answer)
         finally:
             gate.release()

@@ -36,8 +36,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,10 +49,8 @@ from ..graph import (
     GraphProperties,
     GraphStore,
     GraphStoreError,
-    approximate_properties,
     compute_properties_batch,
 )
-from ..graph.sketches import DEFAULT_WEDGE_BUDGET
 from ..ease.pipeline import EASE
 from ..ease.selector import (
     OptimizationGoal,
@@ -327,12 +324,6 @@ class GraphResolver:
 class ServiceStats:
     """Request/batch accounting of one service instance.
 
-    ``approximate_hits`` counts requests answered with approximate-mode
-    (sketch-based) properties; ``budget_exhausted`` the subset whose
-    extraction actually sampled because exhaustive counting would have
-    blown the wedge budget (the rest fit and got exact values).  Both
-    surface per model tag through ``/healthz``.
-
     Every count is backed by the process metrics registry under a
     ``service``-labeled series unique to this instance, so ``/healthz``,
     ``GET /metrics`` and the plain attribute reads
@@ -349,10 +340,6 @@ class ServiceStats:
         "property_cache_misses": "Property-cache misses",
         "result_cache_hits": "Result-cache hits",
         "result_cache_misses": "Result-cache misses",
-        "approximate_hits": "Requests answered with approximate properties",
-        "budget_exhausted": "Approximate requests that actually sampled",
-        "degraded": "Requests degraded to approximate properties by the "
-                    "exact-extraction deadline",
     }
 
     def __init__(self, instance: Optional[str] = None) -> None:
@@ -395,10 +382,7 @@ class ServiceStats:
                 "property_cache_hits": self.property_cache_hits,
                 "property_cache_misses": self.property_cache_misses,
                 "result_cache_hits": self.result_cache_hits,
-                "result_cache_misses": self.result_cache_misses,
-                "approximate_hits": self.approximate_hits,
-                "budget_exhausted": self.budget_exhausted,
-                "degraded": self.degraded}
+                "result_cache_misses": self.result_cache_misses}
 
 
 @dataclass
@@ -452,19 +436,6 @@ class SelectionService:
         Admission-control bound: at most this many requests may be between
         admission and response on this service at once; overflow is shed
         with HTTP 429 by the request core.  ``None`` admits everything.
-    approximate_wedge_budget:
-        Wedge-sample cap of approximate-mode property extraction
-        (``properties_mode="approximate"`` requests).  Bounds the first-hit
-        latency of any single graph regardless of its size.  ``None`` uses
-        :data:`repro.graph.sketches.DEFAULT_WEDGE_BUDGET`.
-    exact_deadline_seconds:
-        Graceful-degradation deadline on *exact* property extraction.  When
-        an exact extraction of a raw graph exceeds it, the request is
-        answered from bounded approximate properties instead and carries a
-        ``degraded: true`` marker (plus ``deadline_exceeded`` in the
-        extraction info).  The timed-out exact extraction keeps running in
-        the background and warms the property cache for later requests.
-        ``None`` (the default) never degrades.
     breaker_threshold / breaker_reset_seconds:
         :class:`CircuitBreaker` configuration: consecutive internal errors
         before the breaker opens, and how long it stays open before
@@ -485,8 +456,6 @@ class SelectionService:
                  graph_store: Optional[Union[GraphStore, str,
                                              GraphResolver]] = None,
                  max_inflight: Optional[int] = None,
-                 approximate_wedge_budget: Optional[int] = None,
-                 exact_deadline_seconds: Optional[float] = None,
                  breaker_threshold: int = 5,
                  breaker_reset_seconds: float = 5.0) -> None:
         if max_batch_size < 1:
@@ -495,14 +464,6 @@ class SelectionService:
             raise ValueError("batch_wait_seconds must be >= 0")
         if result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
-        if exact_deadline_seconds is not None and exact_deadline_seconds <= 0:
-            raise ValueError("exact_deadline_seconds must be > 0 (None = "
-                             "never degrade)")
-        if approximate_wedge_budget is None:
-            approximate_wedge_budget = DEFAULT_WEDGE_BUDGET
-        if approximate_wedge_budget < 1:
-            raise ValueError("approximate_wedge_budget must be >= 1")
-        self.approximate_wedge_budget = approximate_wedge_budget
         self.system = system
         self.model_info = dict(model_info or {})
         self.max_batch_size = max_batch_size
@@ -522,10 +483,6 @@ class SelectionService:
         self.breaker = CircuitBreaker(breaker_threshold,
                                       breaker_reset_seconds,
                                       instance=self.instance)
-        self.exact_deadline_seconds = exact_deadline_seconds
-        # Lazy pool running deadline-bounded exact extractions; created on
-        # first degradable request, torn down by stop().
-        self._deadline_pool: Optional[ThreadPoolExecutor] = None
         self.stats = ServiceStats(instance=self.instance)
         registry = get_registry()
         self._queue_wait_hist = registry.histogram(
@@ -541,12 +498,11 @@ class SelectionService:
             ("service",)).labels(self.instance)
         self._property_hist = registry.histogram(
             "serving_property_resolve_seconds",
-            "Property-extraction latency of cache misses by mode",
-            ("service", "mode"))
+            "Property-extraction latency of cache misses",
+            ("service",)).labels(self.instance)
         self.started_at = time.time()
-        # Keyed by (fingerprint, mode key) -> (properties, extraction info);
-        # exact and approximate extractions of the same graph never collide.
-        self._properties: "OrderedDict[Tuple, Tuple[GraphProperties, Optional[Dict]]]" = OrderedDict()
+        # Keyed by graph content fingerprint.
+        self._properties: "OrderedDict[str, GraphProperties]" = OrderedDict()
         self._results: "OrderedDict[Tuple, SelectionResult]" = OrderedDict()
         # Bumped under _lock on every model swap; guards against a batch in
         # flight during reload() writing old-model results into the cache.
@@ -630,12 +586,6 @@ class SelectionService:
                     leftovers.append(item)
             if leftovers:
                 self._execute(leftovers)
-            pool = self._deadline_pool
-            self._deadline_pool = None
-            if pool is not None:
-                # Never block shutdown on a slow extraction that already
-                # blew its deadline; it finishes on its own thread.
-                pool.shutdown(wait=False)
 
     def __enter__(self) -> "SelectionService":
         return self.start()
@@ -667,135 +617,36 @@ class SelectionService:
     # ------------------------------------------------------------------ #
     # Property memoization
     # ------------------------------------------------------------------ #
-    PROPERTIES_MODES = ("exact", "approximate")
-
-    def _properties_mode_key(self, properties_mode: str):
-        """Cache-key component of one extraction mode.
-
-        Approximate keys carry the wedge budget: a service reconfigured (or
-        a cache entry produced) under a different budget must not answer for
-        this one.
-        """
-        if properties_mode == "exact":
-            return "exact"
-        return ("approximate", self.approximate_wedge_budget)
-
-    def resolve_properties(self, graph: Union[Graph, GraphProperties],
-                           properties_mode: str = "exact"
+    def resolve_properties(self, graph: Union[Graph, GraphProperties]
                            ) -> GraphProperties:
         """Graph properties memoized by content fingerprint (LRU)."""
-        return self.resolve_properties_batch([graph], properties_mode)[0]
-
-    def resolve_properties_with_info(self,
-                                     graph: Union[Graph, GraphProperties],
-                                     properties_mode: str = "exact"
-                                     ) -> Tuple[GraphProperties,
-                                                Optional[Dict]]:
-        """Properties plus extraction metadata (error bounds, budget use).
-
-        The info dictionary is ``None`` for exact extractions and for
-        precomputed-properties submissions; approximate extractions return
-        the :meth:`~repro.graph.sketches.ApproximateTriangleStats.as_dict`
-        payload that the request core surfaces as ``properties_extraction``.
-        """
-        return self._resolve_entries([graph], [properties_mode])[0]
-
-    def _ensure_deadline_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._deadline_pool is None:
-                self._deadline_pool = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="exact-deadline")
-            return self._deadline_pool
-
-    def resolve_for_request(self, graph: Union[Graph, GraphProperties],
-                            properties_mode: str = "exact"
-                            ) -> Tuple[GraphProperties, Optional[Dict],
-                                       bool]:
-        """Property resolution with graceful degradation.
-
-        Returns ``(properties, extraction_info, degraded)``.  Without an
-        ``exact_deadline_seconds`` (or for approximate-mode and
-        precomputed-properties requests) this is exactly
-        :meth:`resolve_properties_with_info` with ``degraded=False``.
-
-        With a deadline, exact extraction of a raw graph runs on a small
-        background pool and is awaited for at most the deadline; past it the
-        request degrades to bounded approximate properties, ``degraded``
-        comes back True and the extraction info carries
-        ``deadline_exceeded`` / ``deadline_seconds``.  The timed-out exact
-        extraction is *not* cancelled — it finishes in the background and
-        warms the property cache, so a repeat of the same request answers
-        exactly.
-        """
-        if (self.exact_deadline_seconds is None
-                or properties_mode != "exact"
-                or isinstance(graph, GraphProperties)):
-            properties, info = self.resolve_properties_with_info(
-                graph, properties_mode)
-            return properties, info, False
-        future = self._ensure_deadline_pool().submit(
-            self.resolve_properties_with_info, graph, "exact")
-        try:
-            properties, info = future.result(
-                timeout=self.exact_deadline_seconds)
-            return properties, info, False
-        except FuturesTimeoutError:
-            pass
-        self.stats.inc("degraded")
-        properties, info = self.resolve_properties_with_info(
-            graph, "approximate")
-        info = dict(info or {})
-        info["deadline_exceeded"] = True
-        info["deadline_seconds"] = self.exact_deadline_seconds
-        return properties, info, True
+        return self.resolve_properties_batch([graph])[0]
 
     def resolve_properties_batch(self,
                                  graphs: Sequence[Union[Graph,
-                                                        GraphProperties]],
-                                 properties_mode: Union[str, Sequence[str]]
-                                 = "exact") -> List[GraphProperties]:
+                                                        GraphProperties]]
+                                 ) -> List[GraphProperties]:
         """Batched property resolution: one engine call for all cache misses.
 
         Cold-starting a corpus of unseen graphs therefore costs a single
         :func:`repro.graph.compute_properties_batch` invocation — content
         duplicates collapse to one computation, each distinct graph runs one
         vectorized engine pass — instead of one per-request extraction
-        round-trip through the service cache.  ``properties_mode`` is one
-        mode for the whole batch or one per graph; approximate-mode misses
-        run the bounded sketch estimators instead.
+        round-trip through the service cache.
         """
-        if isinstance(properties_mode, str):
-            modes = [properties_mode] * len(graphs)
-        else:
-            modes = list(properties_mode)
-        return [properties
-                for properties, _ in self._resolve_entries(graphs, modes)]
-
-    def _resolve_entries(self, graphs: Sequence[Union[Graph,
-                                                      GraphProperties]],
-                         modes: Sequence[str]
-                         ) -> List[Tuple[GraphProperties, Optional[Dict]]]:
-        for mode in modes:
-            if mode not in self.PROPERTIES_MODES:
-                raise ValueError(
-                    f"unknown properties_mode {mode!r}; "
-                    f"expected one of {list(self.PROPERTIES_MODES)}")
         if any(not isinstance(graph, GraphProperties) for graph in graphs):
-            fire("serving.resolve_properties", key=",".join(modes))
-        resolved: List[Optional[Tuple[GraphProperties, Optional[Dict]]]] = \
-            [None] * len(graphs)
+            fire("serving.resolve_properties")
+        resolved: List[Optional[GraphProperties]] = [None] * len(graphs)
         # Hash outside the lock: fingerprinting reads the full edge arrays,
         # and serializing every request thread on it would gut the
         # concurrency the micro-batcher exists to exploit.
-        cache_keys: List[Optional[Tuple]] = [None] * len(graphs)
+        cache_keys: List[Optional[str]] = [None] * len(graphs)
         for position, graph in enumerate(graphs):
             if isinstance(graph, GraphProperties):
-                resolved[position] = (graph, None)
+                resolved[position] = graph
             else:
-                cache_keys[position] = (graph_fingerprint(graph),
-                                        self._properties_mode_key(
-                                            modes[position]))
-        missing: "OrderedDict[Tuple, Tuple[Graph, str]]" = OrderedDict()
+                cache_keys[position] = graph_fingerprint(graph)
+        missing: "OrderedDict[str, Graph]" = OrderedDict()
         with self._lock:
             for position, cache_key in enumerate(cache_keys):
                 if cache_key is None:
@@ -807,59 +658,23 @@ class SelectionService:
                     resolved[position] = cached
                 else:
                     self.stats.inc("property_cache_misses")
-                    missing.setdefault(cache_key,
-                                       (graphs[position], modes[position]))
+                    missing.setdefault(cache_key, graphs[position])
         if missing:
-            computed: Dict[Tuple, Tuple[GraphProperties, Optional[Dict]]] = {}
-            exact_keys = [key for key, (_, mode) in missing.items()
-                          if mode == "exact"]
-            if exact_keys:
-                # Same settings as PartitionerSelector._resolve_properties,
-                # so cached and uncached requests answer identically.
-                started = time.perf_counter()
-                exact_props = compute_properties_batch(
-                    [missing[key][0] for key in exact_keys],
-                    exact_triangles=False)
-                self._property_hist.labels(self.instance, "exact").observe(
-                    time.perf_counter() - started)
-                for key, properties in zip(exact_keys, exact_props):
-                    computed[key] = (properties, None)
-            for key, (graph, mode) in missing.items():
-                if mode == "exact":
-                    continue
-                started = time.perf_counter()
-                properties, stats = approximate_properties(
-                    graph, wedge_budget=self.approximate_wedge_budget)
-                self._property_hist.labels(
-                    self.instance, "approximate").observe(
-                        time.perf_counter() - started)
-                computed[key] = (properties,
-                                 {"mode": "approximate", **stats.as_dict()})
+            # Same settings as PartitionerSelector._resolve_properties,
+            # so cached and uncached requests answer identically.
+            started = time.perf_counter()
+            computed = dict(zip(missing, compute_properties_batch(
+                list(missing.values()), exact_triangles=False)))
+            self._property_hist.observe(time.perf_counter() - started)
             with self._lock:
-                for cache_key, entry in computed.items():
-                    self._properties[cache_key] = entry
+                for cache_key, properties in computed.items():
+                    self._properties[cache_key] = properties
                     self._properties.move_to_end(cache_key)
                 while len(self._properties) > self.property_cache_size:
                     self._properties.popitem(last=False)
             for position, cache_key in enumerate(cache_keys):
                 if resolved[position] is None and cache_key is not None:
                     resolved[position] = computed[cache_key]
-        # Approximate-mode accounting counts per request (hits included):
-        # the /healthz counters track how much serving traffic runs on
-        # estimates, not how many extractions were performed.
-        approximate_hits = 0
-        exhausted = 0
-        for position, mode in enumerate(modes):
-            if mode != "approximate" or cache_keys[position] is None:
-                continue
-            approximate_hits += 1
-            info = resolved[position][1]
-            if info is not None and info.get("budget_exhausted"):
-                exhausted += 1
-        if approximate_hits:
-            self.stats.inc("approximate_hits", approximate_hits)
-            if exhausted:
-                self.stats.inc("budget_exhausted", exhausted)
         return resolved
 
     # ------------------------------------------------------------------ #
@@ -870,9 +685,7 @@ class SelectionService:
 
         Properties enter by value (their eight floats), so two different
         graphs with identical properties — or a precomputed-properties
-        request matching a graph request — share the cached outcome.  The
-        extraction-mode key keeps exact and approximate outcomes apart even
-        when the estimated features happen to coincide.
+        request matching a graph request — share the cached outcome.
         """
         properties = request.graph
         return (properties.num_edges, properties.num_vertices,
@@ -882,8 +695,7 @@ class SelectionService:
                 properties.mean_triangles,
                 properties.mean_local_clustering,
                 request.algorithm, request.num_partitions, request.goal,
-                request.num_iterations,
-                self._properties_mode_key(request.properties_mode))
+                request.num_iterations)
 
     def invalidate_result_cache(self) -> int:
         """Drop all memoized selection outcomes; returns the entry count."""
@@ -944,10 +756,6 @@ class SelectionService:
                              f"{list(algorithms)}")
         if request.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
-        if request.properties_mode not in self.PROPERTIES_MODES:
-            raise ValueError(
-                f"unknown properties_mode {request.properties_mode!r}; "
-                f"expected one of {list(self.PROPERTIES_MODES)}")
         if isinstance(request.graph, GraphProperties):
             request.graph.validate()
         return request
@@ -973,8 +781,7 @@ class SelectionService:
         for request in requests:
             self._validate(request)
         properties = self.resolve_properties_batch(
-            [request.graph for request in requests],
-            [request.properties_mode for request in requests])
+            [request.graph for request in requests])
         futures: List[Future] = []
         misses: List[_Pending] = []
         for request, props in zip(requests, properties):
@@ -983,8 +790,7 @@ class SelectionService:
                 algorithm=request.algorithm,
                 num_partitions=request.num_partitions,
                 goal=request.goal,
-                num_iterations=request.num_iterations,
-                properties_mode=request.properties_mode)
+                num_iterations=request.num_iterations)
             key = (self._result_key(resolved)
                    if self.result_cache_size else None)
             cached = None
@@ -1029,22 +835,18 @@ class SelectionService:
     def select(self, graph: Union[Graph, GraphProperties], algorithm: str,
                num_partitions: int, goal: str = OptimizationGoal.END_TO_END,
                num_iterations: Optional[int] = None,
-               timeout: Optional[float] = None,
-               properties_mode: str = "exact") -> SelectionResult:
+               timeout: Optional[float] = None) -> SelectionResult:
         """Select a partitioner (blocking; coalesced when the worker runs)."""
         return self.submit(SelectionRequest(
             graph=graph, algorithm=algorithm, num_partitions=num_partitions,
-            goal=goal, num_iterations=num_iterations,
-            properties_mode=properties_mode)).result(timeout=timeout)
+            goal=goal, num_iterations=num_iterations)).result(timeout=timeout)
 
     def predict(self, graph: Union[Graph, GraphProperties], algorithm: str,
                 num_partitions: int, num_iterations: Optional[int] = None,
-                timeout: Optional[float] = None,
-                properties_mode: str = "exact") -> List[PartitionerScore]:
+                timeout: Optional[float] = None) -> List[PartitionerScore]:
         """Per-candidate cost predictions (same batched path as select)."""
         result = self.select(graph, algorithm, num_partitions,
-                             num_iterations=num_iterations, timeout=timeout,
-                             properties_mode=properties_mode)
+                             num_iterations=num_iterations, timeout=timeout)
         return result.scores
 
     # ------------------------------------------------------------------ #
@@ -1136,7 +938,5 @@ class SelectionService:
             "queue_depth": self._queue.qsize(),
             "admission": self.admission.as_dict(),
             "breaker": self.breaker.as_dict(),
-            "approximate_wedge_budget": self.approximate_wedge_budget,
-            "exact_deadline_seconds": self.exact_deadline_seconds,
             "stats": self.stats.as_dict(),
         }

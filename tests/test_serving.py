@@ -485,6 +485,19 @@ class TestHTTPServer:
           "algorithm": "pagerank", "num_partitions": 2}, "'num_vertices'"),
         ({"properties": {**VALID_PROPERTIES, "mean_degree": float("nan")},
           "algorithm": "pagerank", "num_partitions": 2}, "'mean_degree'"),
+        ({"graph": {"src": [0.7, 1.9], "dst": [1, 2]},
+          "algorithm": "pagerank", "num_partitions": 2}, "integer arrays"),
+        ({"graph": {"src": ["0", "1"], "dst": [1, 2]},
+          "algorithm": "pagerank", "num_partitions": 2}, "integer arrays"),
+        ({"graph": {"src": [0, 1], "dst": [True, False]},
+          "algorithm": "pagerank", "num_partitions": 2}, "integer arrays"),
+        ({"graph": {"src": [0, 1], "dst": [1, 2], "num_vertices": 3.9},
+          "algorithm": "pagerank", "num_partitions": 2}, "'num_vertices'"),
+        ({"graph": {"src": [0, 1], "dst": [1, 2], "num_vertices": True},
+          "algorithm": "pagerank", "num_partitions": 2}, "'num_vertices'"),
+        ({"graph": {"src": [0, 1], "dst": [1, 2]}, "algorithm": "pagerank",
+          "num_partitions": 2, "properties_mode": "approximate"},
+         "approximate property extraction is not served"),
     ])
     def test_malformed_select_is_4xx(self, live_server, payload, fragment):
         client = SelectionClient(live_server.url)
@@ -853,3 +866,12 @@ class TestBatchSubmission:
         # a fresh request under the new generation caches normally again
         service.select(properties, "pagerank", 2)
         assert len(service._results) == 1
+
+
+def test_graph_payload_accepts_empty_edge_lists():
+    """Empty JSON lists decode as float arrays and must still parse."""
+    from repro.serving.core import parse_graph_payload
+
+    empty = parse_graph_payload({"graph": {"src": [], "dst": [],
+                                           "num_vertices": 3}})
+    assert empty.num_vertices == 3 and empty.src.size == 0

@@ -1,6 +1,5 @@
-"""Tests of serving-side resilience: the per-model circuit breaker, the
-exact-extraction deadline with approximate fallback (``degraded: true``),
-and the client's retry handling of shed/unavailable responses.
+"""Tests of serving-side resilience: the per-model circuit breaker and the
+client's retry handling of shed/unavailable responses.
 
 No sockets anywhere — everything runs through the transport-agnostic
 :class:`RequestCore`, with failures injected via the ``REPRO_FAULTS``
@@ -45,15 +44,13 @@ def trained_system():
         profiler.profile(graphs, graphs))
 
 
-def _graph_payload(seed, **overrides):
+def _graph_payload(seed):
     graph = generate_rmat(128, 900, seed=seed)
-    payload = {"graph": {"src": graph.src.tolist(),
-                         "dst": graph.dst.tolist(),
-                         "num_vertices": graph.num_vertices},
-               "algorithm": "pagerank", "num_partitions": 2,
-               "goal": "end_to_end"}
-    payload.update(overrides)
-    return payload
+    return {"graph": {"src": graph.src.tolist(),
+                      "dst": graph.dst.tolist(),
+                      "num_vertices": graph.num_vertices},
+            "algorithm": "pagerank", "num_partitions": 2,
+            "goal": "end_to_end"}
 
 
 # --------------------------------------------------------------------------- #
@@ -117,71 +114,6 @@ class TestCircuitBreaker:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CircuitBreaker(**kwargs)
-
-
-# --------------------------------------------------------------------------- #
-# Deadline-bounded exact extraction -> degraded approximate answers
-# --------------------------------------------------------------------------- #
-class TestDegradedAnswers:
-    def test_slow_exact_extraction_degrades_within_the_deadline(
-            self, trained_system):
-        service = SelectionService(trained_system,
-                                   exact_deadline_seconds=0.05)
-        core = RequestCore(ModelRouter({"default": service}))
-        install_plan(FaultPlan.parse(
-            "serving.resolve_properties:delay:1:0.8"))
-        try:
-            response = core.handle("POST", "/v1/select",
-                                   body=_graph_payload(seed=41))
-            assert response.status == 200
-            assert response.payload["degraded"] is True
-            extraction = response.payload["properties_extraction"]
-            assert extraction["deadline_exceeded"] is True
-            assert extraction["deadline_seconds"] == 0.05
-            assert response.payload["selected"] in PARTITIONERS
-            assert service.stats.degraded >= 1
-        finally:
-            service.stop()
-
-    def test_fast_extraction_is_not_degraded(self, trained_system):
-        service = SelectionService(trained_system,
-                                   exact_deadline_seconds=30.0)
-        core = RequestCore(ModelRouter({"default": service}))
-        try:
-            response = core.handle("POST", "/v1/select",
-                                   body=_graph_payload(seed=42))
-            assert response.status == 200
-            assert "degraded" not in response.payload
-            assert service.stats.degraded == 0
-        finally:
-            service.stop()
-
-    def test_approximate_requests_bypass_the_deadline_machinery(
-            self, trained_system):
-        service = SelectionService(trained_system,
-                                   exact_deadline_seconds=0.05)
-        core = RequestCore(ModelRouter({"default": service}))
-        install_plan(FaultPlan.parse(
-            "serving.resolve_properties:delay:1:0.2"))
-        try:
-            response = core.handle(
-                "POST", "/v1/select",
-                body=_graph_payload(seed=43, properties_mode="approximate"))
-            assert response.status == 200
-            assert "degraded" not in response.payload
-            assert service.stats.degraded == 0
-        finally:
-            service.stop()
-
-    def test_health_reports_the_deadline_and_breaker(self, trained_system):
-        service = SelectionService(trained_system,
-                                   exact_deadline_seconds=0.25)
-        try:
-            health = service.health()
-            assert health["exact_deadline_seconds"] == 0.25
-            assert health["breaker"]["state"] == "closed"
-        finally:
-            service.stop()
 
 
 # --------------------------------------------------------------------------- #
@@ -254,7 +186,7 @@ class TestBreakerIntegration:
             assert 'serving_breaker_transitions_total{' in text
             assert f'service="{service.breaker.instance}",state="open"' \
                 in text
-            assert "serving_degraded_total" in text
+            assert "serving_degraded_total" not in text
         finally:
             service.stop()
 
