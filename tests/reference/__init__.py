@@ -8,6 +8,9 @@ given the same array signature as the kernel it checks:
 * ``hdrf_loop_assign`` ↔ ``repro.partitioning.kernels.hdrf_kernel_assign``
 * ``two_ps_loop_assign`` ↔ ``repro.partitioning.kernels.two_ps_kernel_assign``
 * ``hep_loop_stream`` ↔ ``repro.partitioning.kernels.hep_kernel_stream``
+* ``ReferenceExpansionAllocator`` (every external degree recounted from the
+  adjacency slice) ↔ ``repro.partitioning.ne._ExpansionAllocator``, the
+  core-set expansion of NE and of HEP's in-memory phase
 * ``triangle_counts_sets`` ↔
   ``repro.graph.property_engine.triangle_counts_engine``
 * ``local_clustering_sets`` ↔
@@ -41,6 +44,7 @@ from unittest import mock
 from .ml import ReferenceTreeRegressor, flatten
 from .partitioning import (
     ReferenceCostModel,
+    ReferenceExpansionAllocator,
     destination_vertex_sets,
     hdrf_loop_assign,
     hep_loop_stream,
@@ -64,18 +68,23 @@ from .properties import (
 
 @contextlib.contextmanager
 def reference_loops():
-    """Inside the block HDRF, 2PS and HEP run the seed loops, not the kernels.
+    """Inside the block HDRF, 2PS and HEP run the seed loops, not the kernels,
+    and NE and HEP expand their core sets with the recounting allocator.
 
-    The loops take the kernels' arguments, so the partitioner classes (and
-    the clustering / packing / in-memory phases around the streaming step)
-    are shared between a production run and a reference run.
+    The loops and the allocator take the production arguments, so the
+    partitioner classes (and 2PS's clustering / packing around the streaming
+    step) are shared between a production run and a reference run.
     """
     with mock.patch("repro.partitioning.hdrf.hdrf_kernel_assign",
                     hdrf_loop_assign), \
             mock.patch("repro.partitioning.two_ps.two_ps_kernel_assign",
                        two_ps_loop_assign), \
             mock.patch("repro.partitioning.hep.hep_kernel_stream",
-                       hep_loop_stream):
+                       hep_loop_stream), \
+            mock.patch("repro.partitioning.ne._ExpansionAllocator",
+                       ReferenceExpansionAllocator), \
+            mock.patch("repro.partitioning.hep._ExpansionAllocator",
+                       ReferenceExpansionAllocator):
         yield
 
 
@@ -122,6 +131,7 @@ __all__ = [
     "reference_predictors",
     "reference_trees",
     "ReferenceCostModel",
+    "ReferenceExpansionAllocator",
     "ReferenceProcessingPredictor",
     "ReferenceQualityPredictor",
     "ReferenceTimePredictor",

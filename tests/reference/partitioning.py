@@ -7,16 +7,23 @@ every partition with a dozen numpy calls.  They take the same arrays as the
 kernel they check, so a test can call either side with one argument list (or
 swap one for the other inside a partitioner).
 
+``ReferenceExpansionAllocator`` is the core-set expansion of NE and of HEP's
+in-memory phase as it was while every external degree was recounted from the
+adjacency slice; ``reference.reference_loops()`` swaps it in for
+``repro.partitioning.ne._ExpansionAllocator`` under both partitioners.
+
 The rest are the three ways coverage — which partitions hold an edge at
 vertex ``v`` — was built before ``EdgePartition.coverage``: per-partition
 vertex-set loops, packed ``(partition, vertex)`` keys through ``np.unique``
 for the quality metrics, and a dense scatter in the processing cost model.
 """
 
-from typing import List, Sequence, Tuple
+import heapq
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph import Graph
 from repro.partitioning import EdgePartition
 from repro.partitioning.kernels import (
     replication_balance_scores,
@@ -227,6 +234,116 @@ def hep_loop_stream(src: np.ndarray, dst: np.ndarray, degrees: np.ndarray,
         else:
             replica_matrix[u, best] = True
             replica_matrix[v, best] = True
+
+
+# --------------------------------------------------------------------------- #
+# Core-set expansion (NE, HEP's in-memory phase) with recounted degrees
+# --------------------------------------------------------------------------- #
+class ReferenceExpansionAllocator:
+    """Shared core-set expansion machinery (used by NE and by HEP's in-memory
+    phase)."""
+
+    def __init__(self, graph: Graph, num_partitions: int, balance_slack: float,
+                 seed: int, eligible_edges: Optional[np.ndarray] = None) -> None:
+        self.graph = graph
+        self.k = num_partitions
+        self.rng = np.random.default_rng(seed)
+        self.adj = graph.undirected_adjacency()
+        self.assignment = np.full(graph.num_edges, -1, dtype=np.int64)
+        if eligible_edges is None:
+            self.eligible = np.ones(graph.num_edges, dtype=bool)
+        else:
+            self.eligible = np.zeros(graph.num_edges, dtype=bool)
+            self.eligible[eligible_edges] = True
+        self.num_eligible = int(self.eligible.sum())
+        self.capacity = balance_slack * self.num_eligible / max(self.k, 1)
+
+    # ------------------------------------------------------------------ #
+    def _unassigned_incident_edges(self, vertex: int) -> np.ndarray:
+        start, end = self.adj.indptr[vertex], self.adj.indptr[vertex + 1]
+        edge_ids = self.adj.edge_ids[start:end]
+        mask = self.eligible[edge_ids] & (self.assignment[edge_ids] < 0)
+        return edge_ids[mask]
+
+    def _external_degree(self, vertex: int) -> int:
+        return int(self._unassigned_incident_edges(vertex).size)
+
+    def run(self) -> np.ndarray:
+        """Allocate all eligible edges to ``k`` partitions; returns assignment
+        restricted to eligible edges (ineligible edges stay at -1)."""
+        remaining_vertices = ReferenceVertexPool(self.graph.num_vertices,
+                                                 self.rng)
+        for partition in range(self.k - 1):
+            self._grow_partition(partition, remaining_vertices)
+        # Last partition absorbs everything still unassigned.
+        leftovers = np.flatnonzero(self.eligible & (self.assignment < 0))
+        self.assignment[leftovers] = self.k - 1
+        return self.assignment
+
+    def _grow_partition(self, partition: int,
+                        vertex_pool: "ReferenceVertexPool") -> None:
+        size = 0
+        core = np.zeros(self.graph.num_vertices, dtype=bool)
+        heap: List = []  # (external_degree, tiebreak, vertex)
+        in_boundary = np.zeros(self.graph.num_vertices, dtype=bool)
+        counter = 0
+
+        def push(vertex: int) -> None:
+            nonlocal counter
+            heapq.heappush(heap, (self._external_degree(vertex), counter, vertex))
+            counter += 1
+            in_boundary[vertex] = True
+
+        while size < self.capacity:
+            vertex = self._pop_boundary(heap, core)
+            if vertex is None:
+                vertex = vertex_pool.draw(
+                    lambda v: self._external_degree(v) > 0)
+                if vertex is None:
+                    return  # no unassigned eligible edges left anywhere
+            core[vertex] = True
+            for edge_id in self._unassigned_incident_edges(vertex):
+                if size >= self.capacity:
+                    break
+                self.assignment[edge_id] = partition
+                size += 1
+                other = int(self.graph.src[edge_id]) if int(self.graph.dst[edge_id]) == vertex \
+                    else int(self.graph.dst[edge_id])
+                if not core[other] and not in_boundary[other]:
+                    push(other)
+
+    def _pop_boundary(self, heap: List, core: np.ndarray) -> Optional[int]:
+        """Pop the boundary vertex with the smallest (lazily updated) external
+        degree."""
+        while heap:
+            stored_degree, _, vertex = heapq.heappop(heap)
+            if core[vertex]:
+                continue
+            current = self._external_degree(vertex)
+            if current == 0:
+                continue
+            if current > stored_degree and heap:
+                # Stale entry: push back with the fresh score.
+                heapq.heappush(heap, (current, stored_degree, vertex))
+                continue
+            return int(vertex)
+        return None
+
+
+class ReferenceVertexPool:
+    """Draw random vertices without replacement, skipping exhausted ones."""
+
+    def __init__(self, num_vertices: int, rng: np.random.Generator) -> None:
+        self.order = rng.permutation(num_vertices)
+        self.position = 0
+
+    def draw(self, is_useful) -> Optional[int]:
+        while self.position < self.order.shape[0]:
+            vertex = int(self.order[self.position])
+            self.position += 1
+            if is_useful(vertex):
+                return vertex
+        return None
 
 
 # --------------------------------------------------------------------------- #

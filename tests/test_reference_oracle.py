@@ -6,12 +6,14 @@ buffer) rather than closeness:
 * every registry partitioner × k on both sides of the int64 replica-bitmask
   cutoff (63 | 64) and of ``StreamingScoreState.SPARSE_LIMIT`` (32) × skewed,
   clustered and degenerate graphs, plus the streaming partitioners under a
-  tight capacity and a large balance weight at the same k and 33.  The reference run swaps each streaming
-  kernel for the seed loop with the same array signature
-  (:func:`reference.reference_loops`), so the clustering, packing and
-  in-memory expansion phases around it are shared and only the kernel is
-  under test.  The hash family, DBH and NE never had a second
-  implementation; for them the row pins run-to-run determinism;
+  tight capacity and a large balance weight at the same k and 33.  The
+  reference run (:func:`reference.reference_loops`) swaps each streaming
+  kernel for the seed loop with the same array signature, and the core-set
+  expansion of NE and of HEP's in-memory phase for the allocator that
+  recounted every external degree, so 2PS's clustering and packing are
+  shared and only the kernel and the allocator are under test.  The hash
+  family and DBH never had a second implementation; for them the row pins
+  run-to-run determinism;
 * exact triangle counts, local clustering coefficients and the sampled
   estimator × the same graphs × block sizes small enough to force many block
   boundaries;
@@ -148,11 +150,12 @@ def test_partitioner_matches_reference(name, k, graph_name):
 
 #: Settings whose code the default rows never run: a slack below 1 fills every
 #: partition mid-stream, so 2PS and HEP reach their all-at-capacity policies
-#: (HEP's at no other row), and a balance weight above 1 switches off the
-#: dominance shortcut of ``StreamingScoreState.pick``.
+#: (HEP's at no other row) and NE leaves a large remainder to its last
+#: partition, and a balance weight above 1 switches off the dominance shortcut
+#: of ``StreamingScoreState.pick``.
 TUNED_PARTITIONERS = (
     [(name, "balance_slack", slack)
-     for name in ("hep1", "hep10", "2ps") for slack in (0.5, 0.9)]
+     for name in ("ne", "hep1", "hep10", "2ps") for slack in (0.5, 0.9)]
     + [(name, "balance_weight", 5.0) for name in ("hdrf", "2ps")])
 
 
