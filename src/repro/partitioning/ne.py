@@ -71,6 +71,15 @@ class _ExpansionAllocator:
             self.eligible[eligible_edges] = True
         self.num_eligible = int(self.eligible.sum())
         self.capacity = balance_slack * self.num_eligible / max(self.k, 1)
+        # free[v] is v's external degree: its eligible, still-unassigned
+        # adjacency entries (a self-loop sits there twice), kept up to date
+        # as edges are assigned instead of recounted from the slice.
+        n = graph.num_vertices
+        self.free = (np.bincount(graph.src[self.eligible], minlength=n)
+                     + np.bincount(graph.dst[self.eligible], minlength=n)
+                     ).tolist()
+        self.src = graph.src.tolist()
+        self.dst = graph.dst.tolist()
 
     # ------------------------------------------------------------------ #
     def _unassigned_incident_edges(self, vertex: int) -> np.ndarray:
@@ -78,9 +87,6 @@ class _ExpansionAllocator:
         edge_ids = self.adj.edge_ids[start:end]
         mask = self.eligible[edge_ids] & (self.assignment[edge_ids] < 0)
         return edge_ids[mask]
-
-    def _external_degree(self, vertex: int) -> int:
-        return int(self._unassigned_incident_edges(vertex).size)
 
     def run(self) -> np.ndarray:
         """Allocate all eligible edges to ``k`` partitions; returns assignment
@@ -100,28 +106,33 @@ class _ExpansionAllocator:
         heap: List = []  # (external_degree, tiebreak, vertex)
         in_boundary = np.zeros(self.graph.num_vertices, dtype=bool)
         counter = 0
+        free, src, dst = self.free, self.src, self.dst
 
         def push(vertex: int) -> None:
             nonlocal counter
-            heapq.heappush(heap, (self._external_degree(vertex), counter, vertex))
+            heapq.heappush(heap, (free[vertex], counter, vertex))
             counter += 1
             in_boundary[vertex] = True
 
         while size < self.capacity:
             vertex = self._pop_boundary(heap, core)
             if vertex is None:
-                vertex = vertex_pool.draw(
-                    lambda v: self._external_degree(v) > 0)
+                vertex = vertex_pool.draw(lambda v: free[v] > 0)
                 if vertex is None:
                     return  # no unassigned eligible edges left anywhere
             core[vertex] = True
-            for edge_id in self._unassigned_incident_edges(vertex):
+            for edge_id in self._unassigned_incident_edges(vertex).tolist():
                 if size >= self.capacity:
                     break
+                u, w = src[edge_id], dst[edge_id]
+                if u != w:
+                    free[u] -= 1
+                    free[w] -= 1
+                elif self.assignment[edge_id] < 0:
+                    free[u] -= 2  # a self-loop: both entries, on first visit
                 self.assignment[edge_id] = partition
                 size += 1
-                other = int(self.graph.src[edge_id]) if int(self.graph.dst[edge_id]) == vertex \
-                    else int(self.graph.dst[edge_id])
+                other = u if w == vertex else w
                 if not core[other] and not in_boundary[other]:
                     push(other)
 
@@ -132,7 +143,7 @@ class _ExpansionAllocator:
             stored_degree, _, vertex = heapq.heappop(heap)
             if core[vertex]:
                 continue
-            current = self._external_degree(vertex)
+            current = self.free[vertex]
             if current == 0:
                 continue
             if current > stored_degree and heap:

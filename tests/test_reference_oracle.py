@@ -51,6 +51,7 @@ A future implementation tier is admitted by adding its row here.
 import functools
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,7 @@ from repro.partitioning import (
     source_balance,
     vertex_balance,
 )
+from repro.partitioning.ne import _ExpansionAllocator
 from repro.processing import ClusterSpec, PartitionedGraphCostModel
 from repro.runtime import ProfileExecutor, build_dataset, build_task_graph
 from repro.runtime.tasks import PropertiesTask
@@ -166,6 +168,41 @@ def test_tuned_partitioner_matches_reference(name, option, value, k,
                                              graph_name):
     _assert_partitioner_matches_reference(name, k, graph_name,
                                           **{option: value})
+
+
+class _RecountingAllocator(_ExpansionAllocator):
+    """Checks the kept external degrees against a recount from the adjacency
+    before and after every grown partition."""
+
+    grown = []
+
+    def _recount(self):
+        adj = self.adj
+        open_entries = (self.eligible & (self.assignment < 0))[adj.edge_ids]
+        return [int(open_entries[adj.indptr[v]:adj.indptr[v + 1]].sum())
+                for v in range(self.graph.num_vertices)]
+
+    def _grow_partition(self, partition, vertex_pool):
+        assert self.free == self._recount()
+        super()._grow_partition(partition, vertex_pool)
+        assert self.free == self._recount()
+        self.grown.append(partition)
+
+
+@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+@pytest.mark.parametrize("name", ("ne", "hep1"))
+def test_expansion_keeps_external_degrees(name, graph_name):
+    """NE expands over every edge, HEP-1 over the edges with a low-degree
+    endpoint only."""
+    _RecountingAllocator.grown = []
+    with mock.patch("repro.partitioning.ne._ExpansionAllocator",
+                    _RecountingAllocator), \
+            mock.patch("repro.partitioning.hep._ExpansionAllocator",
+                       _RecountingAllocator):
+        for k in (2, 8, 32):
+            create_partitioner(name)(_graph(graph_name), k)
+    assert _RecountingAllocator.grown == ([0] + list(range(7))
+                                          + list(range(31)))
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS_GRID)
