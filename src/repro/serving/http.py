@@ -48,12 +48,19 @@ class _SelectionRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> bytes:
-        """Read the framed request body; raises :class:`BadRequest` (with
+    def _read_body(self, required: bool) -> bytes:
+        """Read the framed request body (empty when it is not ``required``
+        and no Content-Length is sent); raises :class:`BadRequest` (with
         connection close — unread bytes would desync the keep-alive stream)
-        on bad framing."""
+        on bad framing.  Only Content-Length framing is read: a request
+        naming Transfer-Encoding is refused, never framed by its length."""
+        if "Transfer-Encoding" in self.headers:
+            raise BadRequest("Transfer-Encoding is not supported; "
+                             "send a Content-Length body")
         length = self.headers.get("Content-Length")
         if length is None:
+            if not required:
+                return b""
             raise BadRequest("Content-Length header is required")
         try:
             length = int(length)
@@ -63,16 +70,12 @@ class _SelectionRequestHandler(BaseHTTPRequestHandler):
             raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length)
 
-    # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parts = urlsplit(self.path)
-        self._write_response(self.server.core.handle(
-            "GET", parts.path, query=parts.query, headers=self.headers))
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)
         try:
-            body = self._read_body()
+            # A GET body is read only to be discarded: left on the wire, it
+            # would be parsed as the next request of the connection.
+            body = self._read_body(required=method == "POST")
         except BadRequest as error:
             # The body was not (fully) read, so the bytes left on the wire
             # would desync the next request of a keep-alive connection.
@@ -80,8 +83,15 @@ class _SelectionRequestHandler(BaseHTTPRequestHandler):
                 400, str(error), close_connection=True))
             return
         self._write_response(self.server.core.handle(
-            "POST", parts.path, query=parts.query, headers=self.headers,
-            body=body))
+            method, parts.path, query=parts.query, headers=self.headers,
+            body=body if method == "POST" else None))
+
+    # ------------------------------------------------------------------ #
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._handle("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._handle("POST")
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:  # pragma: no cover - log formatting

@@ -418,6 +418,28 @@ def live_server(registry, trained_system):
     thread.join(timeout=5)
 
 
+def _raw_exchange(server, request_bytes):
+    """Send raw bytes on one connection and read every response the server
+    writes before it closes the connection: ``[(status, headers, body)]``."""
+    replies = []
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)
+        stream = sock.makefile("rb")
+        while True:
+            status_line = stream.readline()
+            if not status_line:
+                return replies
+            headers = {}
+            for line in iter(stream.readline, b"\r\n"):
+                if not line:
+                    raise ConnectionError("connection closed inside headers")
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            body = stream.read(int(headers["content-length"]))
+            replies.append((int(status_line.split()[1]), headers, body))
+
+
 class TestHTTPAdapter:
     def test_healthz_with_query_string(self, live_server):
         # regression: exact-path matching 404ed GET /healthz?probe=1
@@ -478,6 +500,36 @@ class TestHTTPAdapter:
             assert response.will_close
         finally:
             connection.close()
+
+    def test_get_body_is_read_off_the_keep_alive_stream(self, live_server):
+        # A body on a GET is read and discarded; left on the wire it would
+        # be parsed as the start of the next request.
+        replies = _raw_exchange(
+            live_server,
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+            b"\r\nhello"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert all(json.loads(body)["status"] == "ok"
+                   for _, _, body in replies)
+
+    @pytest.mark.parametrize("method,path", [("POST", "/v1/select"),
+                                             ("GET", "/healthz")])
+    def test_transfer_encoding_is_refused_and_closes(self, live_server,
+                                                     method, path):
+        # Framing a chunked body by its Content-Length would leave the rest
+        # of the chunks on the wire as the next request.
+        chunked = b"5\r\nhello\r\n0\r\n\r\n"
+        replies = _raw_exchange(
+            live_server,
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n"
+            .encode("ascii") + chunked
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        [(status, headers, body)] = replies
+        assert status == 400
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+        assert headers["connection"] == "close"
 
     def test_corrupt_registry_is_503_not_dead_thread(self, live_server,
                                                      registry):
