@@ -11,6 +11,8 @@ setup(
     version="1.0.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # int.bit_count() (repro.partitioning.kernels) is new in Python 3.10.
+    python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

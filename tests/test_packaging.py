@@ -1,6 +1,9 @@
 """Packaging contract of ``setup.py``, checked offline (no install)."""
 
+import ast
+import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -19,3 +22,17 @@ def test_setup_names_the_project_and_lists_every_package():
                  for path in (source / "repro").rglob("__init__.py")}
     assert set(find_packages(str(source))) == with_init
 
+
+
+def test_python_requires_is_the_oldest_ci_python():
+    tree = ast.parse((REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+    [call] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "setup"]
+    options = {keyword.arg: keyword.value for keyword in call.keywords}
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8")
+    matrix = re.search(r"python-version:\s*(\[[^\]]*\])", workflow)
+    oldest = min(json.loads(matrix.group(1)),
+                 key=lambda version: tuple(map(int, version.split("."))))
+    assert ast.literal_eval(options["python_requires"]) == f">={oldest}"
+    assert sys.version_info >= tuple(map(int, oldest.split(".")))
