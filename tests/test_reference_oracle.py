@@ -170,39 +170,36 @@ def test_tuned_partitioner_matches_reference(name, option, value, k,
                                           **{option: value})
 
 
-class _RecountingAllocator(_ExpansionAllocator):
-    """Checks the kept external degrees against a recount from the adjacency
-    before and after every grown partition."""
-
-    grown = []
-
-    def _recount(self):
-        adj = self.adj
-        open_entries = (self.eligible & (self.assignment < 0))[adj.edge_ids]
-        return [int(open_entries[adj.indptr[v]:adj.indptr[v + 1]].sum())
-                for v in range(self.graph.num_vertices)]
-
-    def _grow_partition(self, partition, vertex_pool):
-        assert self.free == self._recount()
-        super()._grow_partition(partition, vertex_pool)
-        assert self.free == self._recount()
-        self.grown.append(partition)
+def _recounted_external_degrees(allocator):
+    adj = allocator.adj
+    unassigned = allocator.eligible & (allocator.assignment < 0)
+    open_entries = unassigned[adj.edge_ids]
+    return [int(open_entries[adj.indptr[v]:adj.indptr[v + 1]].sum())
+            for v in range(allocator.graph.num_vertices)]
 
 
 @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
 @pytest.mark.parametrize("name", ("ne", "hep1"))
 def test_expansion_keeps_external_degrees(name, graph_name):
-    """NE expands over every edge, HEP-1 over the edges with a low-degree
-    endpoint only."""
-    _RecountingAllocator.grown = []
+    """The allocator's kept external degrees equal a recount from the
+    adjacency before and after every grown partition; NE expands over every
+    edge, HEP-1 over the edges with a low-degree endpoint only."""
+    grown = []
+
+    class RecountingAllocator(_ExpansionAllocator):
+        def _grow_partition(self, partition, vertex_pool):
+            assert self.free == _recounted_external_degrees(self)
+            super()._grow_partition(partition, vertex_pool)
+            assert self.free == _recounted_external_degrees(self)
+            grown.append(partition)
+
     with mock.patch("repro.partitioning.ne._ExpansionAllocator",
-                    _RecountingAllocator), \
+                    RecountingAllocator), \
             mock.patch("repro.partitioning.hep._ExpansionAllocator",
-                       _RecountingAllocator):
+                       RecountingAllocator):
         for k in (2, 8, 32):
             create_partitioner(name)(_graph(graph_name), k)
-    assert _RecountingAllocator.grown == ([0] + list(range(7))
-                                          + list(range(31)))
+    assert grown == [0] + list(range(7)) + list(range(31))
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS_GRID)
