@@ -73,8 +73,8 @@ class _SelectionRequestHandler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         parts = urlsplit(self.path)
         try:
-            # A GET body is read only to be discarded: left on the wire, it
-            # would be parsed as the next request of the connection.
+            # A GET body is read only to be discarded (the core ignores it):
+            # left on the wire, it would be parsed as the next request.
             body = self._read_body(required=method == "POST")
         except BadRequest as error:
             # The body was not (fully) read, so the bytes left on the wire
@@ -84,7 +84,7 @@ class _SelectionRequestHandler(BaseHTTPRequestHandler):
             return
         self._write_response(self.server.core.handle(
             method, parts.path, query=parts.query, headers=self.headers,
-            body=body if method == "POST" else None))
+            body=body))
 
     # ------------------------------------------------------------------ #
     def do_GET(self) -> None:  # noqa: N802 - http.server API
