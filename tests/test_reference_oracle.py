@@ -43,7 +43,11 @@ buffer) rather than closeness:
   against the packed-pair-key formulation, float for float, and
   ``PartitionedGraphCostModel`` (replica counts and ``superstep_cost`` on
   seeded masks, with k machines and with 3, where partitions share a
-  machine) against the cost model's own dense scatter.
+  machine) against the cost model's own dense scatter;
+* the selection service — requests sent one at a time, coalesced by a
+  started batcher, through ``select_many`` and twice over — against
+  ``select_batch`` on the raw graphs in batches of the same size, result
+  for result.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -669,3 +673,76 @@ def test_processing_predictor_extends_like_reference():
                [record.metrics for record in records])
     _assert_bytes_equal(production.predict_total_seconds_batch(*columns),
                         reference.predict_total_seconds_batch(*columns))
+
+
+# --------------------------------------------------------------------------- #
+# The selection service vs. one direct select_batch
+# --------------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def _served_system():
+    return EASE(partitioner_names=PROFILE_GRID["partitioner_names"]).train(
+        _profile_reference())
+
+
+def _one_at_a_time(service, requests):
+    return [service.select(request.graph, request.algorithm,
+                           request.num_partitions, goal=request.goal)
+            for request in requests]
+
+
+def _coalesced(service, requests):
+    # The batch closes when it holds every request, long before the wait
+    # runs out, so the separate submits meet in one select_batch.
+    service.max_batch_size = len(requests)
+    service.batch_wait_seconds = 60.0
+    with service:
+        futures = [service.submit(request) for request in requests]
+        answers = [future.result(timeout=60) for future in futures]
+    assert service.stats.batches == 1
+    return answers
+
+
+def _twice(service, requests):
+    first = _one_at_a_time(service, requests)
+    second = _one_at_a_time(service, requests)
+    assert first == second
+    return second
+
+
+#: path -> (how the requests enter the service, the batch size the service
+#: runs them in).  A polynomial-family processing prediction can move by one
+#: ulp with the shape of the batch (the matrix-vector product behind it sums
+#: in a shape-dependent order), so each row is compared with ``select_batch``
+#: over batches of the same size.
+SERVICE_PATHS = {
+    "inline": (_one_at_a_time, 1),
+    "batcher": (_coalesced, None),
+    "select_many": (lambda service, requests: service.select_many(requests),
+                    None),
+    "repeated": (_twice, 1),
+}
+
+
+@pytest.mark.parametrize("path", tuple(SERVICE_PATHS))
+def test_service_answers_like_selector(path):
+    """Every way into ``SelectionService`` — one request at a time with no
+    batcher, separate submits coalesced by a started batcher,
+    ``select_many``, and the same requests sent twice — answers what
+    ``select_batch`` over the raw graphs answers: winner, ranking and every
+    score float."""
+    from repro.serving import SelectionService
+
+    system = _served_system()
+    requests = _selection_requests()
+    answer, batch_size = SERVICE_PATHS[path]
+    batch_size = batch_size or len(requests)
+    expected = [result for start in range(0, len(requests), batch_size)
+                for result in system.selector.select_batch(
+                    requests[start:start + batch_size])]
+    answers = answer(SelectionService(system), requests)
+    assert len(answers) == len(expected)
+    for got, want in zip(answers, expected):
+        assert got.selected == want.selected
+        assert ([score.partitioner for score in got.ranking()]
+                == [score.partitioner for score in want.ranking()])
+        assert got == want
