@@ -546,8 +546,8 @@ def _command_serve(args: argparse.Namespace) -> int:
                     f"'graph_fingerprint' instead of edge arrays)")
     if args.trace_dir:
         logger.info(f"tracing to {args.trace_dir}")
-    logger.info("endpoints: POST /v1/select  POST /v1/predict  "
-                "GET /v1/models  GET /healthz  GET /metrics")
+    logger.info("endpoints: POST /v1/select  GET /v1/models  "
+                "GET /healthz  GET /metrics")
     try:
         front.serve_forever()
     except KeyboardInterrupt:
@@ -887,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve", help="run the HTTP selection server "
-                      "(micro-batched /v1/select, /v1/predict)")
+                      "(micro-batched /v1/select)")
     serve.add_argument("--model", action="append", default=None,
                        metavar="[TAG=]SPEC",
                        help="model to serve: a bundle file, a registry "

@@ -52,7 +52,7 @@ def _graph_payload(graph: Union[Graph, GraphProperties, Dict, str]) -> Dict:
     if isinstance(graph, str):  # a graph-store content fingerprint
         return {"graph_fingerprint": graph}
     if isinstance(graph, dict):  # pre-built "graph"/"properties" fragment
-        # Copy so the request fields added by select()/predict() never leak
+        # Copy so the request fields added by select() never leak
         # into (and persist on) the caller's fragment.
         return dict(graph)
     raise TypeError("graph must be a Graph, GraphProperties, payload dict "
@@ -170,13 +170,3 @@ class SelectionClient:
         if num_iterations is not None:
             payload["num_iterations"] = num_iterations
         return self._request("/v1/select", payload)
-
-    def predict(self, graph: Union[Graph, GraphProperties, Dict, str],
-                algorithm: str, num_partitions: int,
-                num_iterations: Optional[int] = None) -> Dict:
-        payload = _graph_payload(graph)
-        payload.update({"algorithm": algorithm,
-                        "num_partitions": num_partitions})
-        if num_iterations is not None:
-            payload["num_iterations"] = num_iterations
-        return self._request("/v1/predict", payload)

@@ -31,13 +31,14 @@ Endpoints:
     Registry contents (when serving from a registry) or the loaded bundles.
     A corrupt or concurrently-mutated registry yields ``503``, never an
     unhandled exception.
-``POST /v1/select`` / ``POST /v1/predict``
+``POST /v1/select``
     Body: ``{"graph": {...}}`` or ``{"properties": {...}}`` or
     ``{"graph_fingerprint": "..."}`` plus ``algorithm``/``num_partitions``
-    (+ ``goal`` for select, optional ``num_iterations``, optional
-    ``model`` routing tag).  Raw graphs resolve their properties through
-    the service's one sampled extraction; a request for any other property
-    mode is a ``400``.
+    (optional ``goal``, default ``end_to_end``; optional
+    ``num_iterations``; optional ``model`` routing tag).  The answer carries
+    the winner, the ranking and every candidate's predicted costs.  Raw
+    graphs resolve their properties through the service's one sampled
+    extraction; a request for any other property mode is a ``400``.
 """
 
 from __future__ import annotations
@@ -171,10 +172,10 @@ def parse_graph_payload(
         raise BadRequest(f"invalid graph: {error}") from error
 
 
-def parse_job_payload(payload: Dict, require_goal: bool,
+def parse_job_payload(payload: Dict,
                       resolver: Optional[Callable[[str], Graph]] = None,
                       ) -> Dict:
-    """Validate and normalise a select/predict request body."""
+    """Validate and normalise a select request body."""
     graph = parse_graph_payload(payload, resolver=resolver)
     algorithm = payload.get("algorithm")
     if not isinstance(algorithm, str) or not algorithm:
@@ -184,11 +185,10 @@ def parse_job_payload(payload: Dict, require_goal: bool,
             or num_partitions < 1:
         raise BadRequest("'num_partitions' must be a positive integer")
     goal = payload.get("goal", OptimizationGoal.END_TO_END)
-    if require_goal:
-        try:
-            OptimizationGoal.validate(goal)
-        except ValueError as error:
-            raise BadRequest(str(error)) from error
+    try:
+        OptimizationGoal.validate(goal)
+    except ValueError as error:
+        raise BadRequest(str(error)) from error
     num_iterations = payload.get("num_iterations")
     if num_iterations is not None and (
             not isinstance(num_iterations, int)
@@ -277,7 +277,7 @@ class RequestCore:
             if method == "POST":
                 started = time.perf_counter()
                 response = self._handle_post(path, headers, body)
-                if path in ("/v1/select", "/v1/predict"):
+                if path == "/v1/select":
                     self._request_hist.labels(path, str(response.status)) \
                         .observe(time.perf_counter() - started)
                 if self.scrape_dir is not None:
@@ -375,7 +375,7 @@ class RequestCore:
         return tag or self.router.default_tag, service
 
     def _handle_post(self, path: str, headers, body) -> Response:
-        if path not in ("/v1/select", "/v1/predict"):
+        if path != "/v1/select":
             return self.error(404, f"unknown path {path!r}")
         admission_started = time.perf_counter()
         payload = self._decode_body(body)
@@ -406,25 +406,11 @@ class RequestCore:
         try:
             resolver = service.resolve_graph \
                 if service.graph_resolver is not None else None
-            job = parse_job_payload(payload,
-                                    require_goal=path == "/v1/select",
-                                    resolver=resolver)
+            job = parse_job_payload(payload, resolver=resolver)
             try:
-                if path == "/v1/select":
-                    result = service.select(
-                        job["graph"], job["algorithm"],
-                        job["num_partitions"], goal=job["goal"],
-                        num_iterations=job["num_iterations"])
-                    answer = _selection_payload(result)
-                else:
-                    scores = service.predict(
-                        job["graph"], job["algorithm"],
-                        job["num_partitions"],
-                        num_iterations=job["num_iterations"])
-                    answer = {
-                        "algorithm": job["algorithm"],
-                        "num_partitions": job["num_partitions"],
-                        "predictions": [_score_payload(s) for s in scores]}
+                answer = _selection_payload(service.select(
+                    job["graph"], job["algorithm"], job["num_partitions"],
+                    goal=job["goal"], num_iterations=job["num_iterations"]))
             except ValueError as error:
                 # e.g. an algorithm without a trained model; a caller error,
                 # so the breaker is unaffected

@@ -1,9 +1,8 @@
 """SelectionService: the in-process core of the EASE serving subsystem.
 
-The service keeps one trained EASE system resident and answers selection /
-prediction requests through a single code path shared by the CLI, the HTTP
-frontend and library callers.  Two mechanisms make it fast under concurrent
-load:
+The service keeps one trained EASE system resident and answers selection
+requests through a single code path shared by the CLI, the HTTP frontend and
+library callers.  Two mechanisms make it fast under concurrent load:
 
 * **Property memoization** — ``GraphProperties`` are cached by graph content
   fingerprint, so repeated queries about the same graph skip the (sampled)
@@ -13,15 +12,11 @@ load:
   worker into one :meth:`PartitionerSelector.select_batch` call, which scores
   the whole (requests x candidates) grid with a single vectorized call per
   underlying predictor model instead of one call per request per candidate.
-* **Result caching** — full :class:`SelectionResult` outcomes are memoized
-  by ``(graph properties, algorithm, num_partitions, goal, num_iterations)``
-  in a bounded LRU, so repeated identical requests skip the predictors
-  entirely.  Hit/miss counters surface on ``/healthz``; the cache is
-  invalidated whenever the loaded model changes (:meth:`reload`,
-  :meth:`reload_from_registry`).
 
-Batched and sequential answers are identical: both run the same batched
-selector path, only the batch size differs.  A batch of raw graphs resolves
+Every request runs the predictors.  Batched and sequential answers come from
+the same batched selector path; only the batch size differs, and with it the
+last bits of a polynomial-family processing prediction (its matrix-vector
+product sums in a shape-dependent order).  A batch of raw graphs resolves
 its properties with one :func:`repro.graph.compute_properties_batch` call
 (content-deduplicated; one vectorized engine pass per distinct graph) via
 :meth:`submit_many`.
@@ -54,7 +49,6 @@ from ..graph import (
 from ..ease.pipeline import EASE
 from ..ease.selector import (
     OptimizationGoal,
-    PartitionerScore,
     SelectionRequest,
     SelectionResult,
 )
@@ -70,6 +64,13 @@ __all__ = ["AdmissionGate", "CircuitBreaker", "GraphResolver",
 #: from zeroed children.  A prefork pool forks *after* construction, so all
 #: workers share one label value and their slot files merge by exact sum.
 _INSTANCE_SEQUENCE = itertools.count()
+
+#: Memoized ``GraphProperties`` per service (LRU by content fingerprint).
+PROPERTY_CACHE_SIZE = 1024
+
+#: Opened stored graphs per :class:`GraphResolver`.  Mappings are cheap; the
+#: bound only caps file-descriptor usage on stores with many graphs.
+GRAPH_CACHE_SIZE = 128
 
 
 def _instance_label(prefix: str) -> str:
@@ -264,21 +265,14 @@ class GraphResolver:
     memory-mapped lazily), but reusing the object keeps one mapping — and one
     set of attached CSR views — per graph instead of one per request.  A
     multi-model router passes one resolver to all its services so N models
-    share a single open-graph LRU over the same store.
+    share a single open-graph LRU (of :data:`GRAPH_CACHE_SIZE` graphs) over
+    the same store.
     """
 
-    #: Default LRU bound (mappings are cheap; this only caps file-descriptor
-    #: usage on stores with many graphs).
-    DEFAULT_CACHE_SIZE = 128
-
-    def __init__(self, store: Union[GraphStore, str],
-                 cache_size: int = DEFAULT_CACHE_SIZE) -> None:
+    def __init__(self, store: Union[GraphStore, str]) -> None:
         if isinstance(store, str):
             store = GraphStore(store)
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.store = store
-        self.cache_size = cache_size
         self._lock = threading.Lock()
         self._open: "OrderedDict[str, Graph]" = OrderedDict()
         self.instance = _instance_label("resolver")
@@ -312,7 +306,7 @@ class GraphResolver:
         with self._lock:
             self._open[fingerprint] = graph
             self._open.move_to_end(fingerprint)
-            while len(self._open) > self.cache_size:
+            while len(self._open) > GRAPH_CACHE_SIZE:
                 self._open.popitem(last=False)
         return graph
 
@@ -333,13 +327,11 @@ class ServiceStats:
     """
 
     _COUNTER_HELP = {
-        "requests": "Requests answered (cache hits included)",
+        "requests": "Requests answered",
         "batches": "Micro-batches executed",
         "batched_requests": "Requests that went through a micro-batch",
         "property_cache_hits": "Property-cache hits",
         "property_cache_misses": "Property-cache misses",
-        "result_cache_hits": "Result-cache hits",
-        "result_cache_misses": "Result-cache misses",
     }
 
     def __init__(self, instance: Optional[str] = None) -> None:
@@ -380,22 +372,13 @@ class ServiceStats:
                 "max_batch_size": self.max_batch_size,
                 "mean_batch_size": self.mean_batch_size(),
                 "property_cache_hits": self.property_cache_hits,
-                "property_cache_misses": self.property_cache_misses,
-                "result_cache_hits": self.result_cache_hits,
-                "result_cache_misses": self.result_cache_misses}
+                "property_cache_misses": self.property_cache_misses}
 
 
 @dataclass
 class _Pending:
     request: SelectionRequest
     future: Future = field(default_factory=Future)
-    #: Result-cache key of the request (``None`` when caching is disabled);
-    #: the executing batch stores its outcome under this key.
-    cache_key: Optional[Tuple] = None
-    #: Model generation the request was submitted under; a result computed
-    #: against an older generation is never written to the cache (the model
-    #: may have been swapped while the batch was in flight).
-    generation: int = 0
     #: ``time.monotonic()`` at enqueue; feeds the batch-queue-wait
     #: histogram when the batch executes (0.0 = never enqueued).
     enqueued_at: float = 0.0
@@ -419,11 +402,6 @@ class SelectionService:
     batch_wait_seconds:
         How long the batching worker waits for additional requests after the
         first one arrives.  Zero still batches whatever is already queued.
-    property_cache_size:
-        Number of memoized ``GraphProperties`` entries (LRU by fingerprint).
-    result_cache_size:
-        Number of memoized :class:`SelectionResult` entries (LRU by request
-        key); ``0`` disables result caching.
     graph_store:
         Optional :class:`~repro.graph.GraphStore` (or its root directory, or
         a shared :class:`GraphResolver`) backing :meth:`resolve_graph`:
@@ -451,8 +429,6 @@ class SelectionService:
                  model_info: Optional[Dict] = None,
                  max_batch_size: int = 64,
                  batch_wait_seconds: float = 0.002,
-                 property_cache_size: int = 1024,
-                 result_cache_size: int = 4096,
                  graph_store: Optional[Union[GraphStore, str,
                                              GraphResolver]] = None,
                  max_inflight: Optional[int] = None,
@@ -462,14 +438,10 @@ class SelectionService:
             raise ValueError("max_batch_size must be >= 1")
         if batch_wait_seconds < 0:
             raise ValueError("batch_wait_seconds must be >= 0")
-        if result_cache_size < 0:
-            raise ValueError("result_cache_size must be >= 0")
         self.system = system
         self.model_info = dict(model_info or {})
         self.max_batch_size = max_batch_size
         self.batch_wait_seconds = batch_wait_seconds
-        self.property_cache_size = property_cache_size
-        self.result_cache_size = result_cache_size
         if graph_store is None or isinstance(graph_store, GraphResolver):
             self.graph_resolver = graph_store
         else:
@@ -503,10 +475,6 @@ class SelectionService:
         self.started_at = time.time()
         # Keyed by graph content fingerprint.
         self._properties: "OrderedDict[str, GraphProperties]" = OrderedDict()
-        self._results: "OrderedDict[Tuple, SelectionResult]" = OrderedDict()
-        # Bumped under _lock on every model swap; guards against a batch in
-        # flight during reload() writing old-model results into the cache.
-        self._model_generation = 0
         # Filled by from_registry so reload_from_registry can re-resolve.
         self._registry: Optional[ModelRegistry] = None
         self._registry_name: Optional[str] = None
@@ -670,7 +638,7 @@ class SelectionService:
                 for cache_key, properties in computed.items():
                     self._properties[cache_key] = properties
                     self._properties.move_to_end(cache_key)
-                while len(self._properties) > self.property_cache_size:
+                while len(self._properties) > PROPERTY_CACHE_SIZE:
                     self._properties.popitem(last=False)
             for position, cache_key in enumerate(cache_keys):
                 if resolved[position] is None and cache_key is not None:
@@ -678,46 +646,17 @@ class SelectionService:
         return resolved
 
     # ------------------------------------------------------------------ #
-    # Result memoization and model reload
+    # Model reload
     # ------------------------------------------------------------------ #
-    def _result_key(self, request: SelectionRequest) -> Tuple:
-        """Cache key of a property-resolved request.
-
-        Properties enter by value (their eight floats), so two different
-        graphs with identical properties — or a precomputed-properties
-        request matching a graph request — share the cached outcome.
-        """
-        properties = request.graph
-        return (properties.num_edges, properties.num_vertices,
-                properties.mean_degree, properties.density,
-                properties.in_degree_skewness,
-                properties.out_degree_skewness,
-                properties.mean_triangles,
-                properties.mean_local_clustering,
-                request.algorithm, request.num_partitions, request.goal,
-                request.num_iterations)
-
-    def invalidate_result_cache(self) -> int:
-        """Drop all memoized selection outcomes; returns the entry count."""
-        with self._lock:
-            dropped = len(self._results)
-            self._results.clear()
-            self._model_generation += 1
-        return dropped
-
     def reload(self, system: EASE,
                model_info: Optional[Dict] = None) -> None:
-        """Swap the served model and invalidate memoized selection outcomes.
+        """Swap the served model; the next batch answers with it.
 
         Graph properties stay cached — they do not depend on the model.
-        In-flight batches finish and answer against the system they started
-        with, but their outcomes are *not* cached: the generation bump in
-        :meth:`invalidate_result_cache` makes their pending cache writes
-        stale, so a post-reload request can never hit an old-model result.
+        In-flight batches finish against the system they started with.
         """
         self.system = system
         self.model_info = dict(model_info or {})
-        self.invalidate_result_cache()
 
     @property
     def registry_backed(self) -> bool:
@@ -729,8 +668,8 @@ class SelectionService:
 
         Picks up ``repro models promote`` (the serving ref is usually a tag
         such as ``production``) and newly published versions.  Returns True
-        when a different version was loaded — which also invalidated the
-        result cache — and False when the resolved version is unchanged.
+        when a different version was loaded and False when the resolved
+        version is unchanged.
         """
         if self._registry is None:
             raise RuntimeError("service was not constructed from_registry")
@@ -773,57 +712,29 @@ class SelectionService:
         """Enqueue a batch of requests; returns one future per request.
 
         All raw graphs in the batch resolve their properties through one
-        content-deduplicated :meth:`resolve_properties_batch` call;
-        result-cache hits resolve immediately without touching the
-        predictors.  Invalid requests fail fast (the whole call raises
-        before anything is enqueued).
+        content-deduplicated :meth:`resolve_properties_batch` call.  Invalid
+        requests fail fast (the whole call raises before anything is
+        enqueued).
         """
         for request in requests:
             self._validate(request)
         properties = self.resolve_properties_batch(
             [request.graph for request in requests])
-        futures: List[Future] = []
-        misses: List[_Pending] = []
-        for request, props in zip(requests, properties):
-            resolved = SelectionRequest(
-                graph=props,
-                algorithm=request.algorithm,
-                num_partitions=request.num_partitions,
-                goal=request.goal,
-                num_iterations=request.num_iterations)
-            key = (self._result_key(resolved)
-                   if self.result_cache_size else None)
-            cached = None
-            generation = 0
-            if key is not None:
-                with self._lock:
-                    cached = self._results.get(key)
-                    if cached is not None:
-                        self._results.move_to_end(key)
-                        self.stats.inc("result_cache_hits")
-                        self.stats.inc("requests")
-                    else:
-                        self.stats.inc("result_cache_misses")
-                        generation = self._model_generation
-            if cached is not None:
-                future: "Future[SelectionResult]" = Future()
-                future.set_result(cached)
-                futures.append(future)
-                continue
-            pending = _Pending(resolved, cache_key=key,
-                               generation=generation)
-            futures.append(pending.future)
-            misses.append(pending)
-        if misses:
+        batch = [_Pending(SelectionRequest(
+            graph=props, algorithm=request.algorithm,
+            num_partitions=request.num_partitions, goal=request.goal,
+            num_iterations=request.num_iterations))
+            for request, props in zip(requests, properties)]
+        if batch:
             with self._lifecycle_lock:
                 running = self.running
                 if running:
-                    for pending in misses:
+                    for pending in batch:
                         pending.enqueued_at = time.monotonic()
                         self._queue.put(pending)
             if not running:
-                self._execute(misses)
-        return futures
+                self._execute(batch)
+        return [pending.future for pending in batch]
 
     def select_many(self, requests: Sequence[SelectionRequest],
                     timeout: Optional[float] = None) -> List[SelectionResult]:
@@ -840,14 +751,6 @@ class SelectionService:
         return self.submit(SelectionRequest(
             graph=graph, algorithm=algorithm, num_partitions=num_partitions,
             goal=goal, num_iterations=num_iterations)).result(timeout=timeout)
-
-    def predict(self, graph: Union[Graph, GraphProperties], algorithm: str,
-                num_partitions: int, num_iterations: Optional[int] = None,
-                timeout: Optional[float] = None) -> List[PartitionerScore]:
-        """Per-candidate cost predictions (same batched path as select)."""
-        result = self.select(graph, algorithm, num_partitions,
-                             num_iterations=num_iterations, timeout=timeout)
-        return result.scores
 
     # ------------------------------------------------------------------ #
     # Micro-batching worker
@@ -903,21 +806,6 @@ class SelectionService:
                     pending.future.set_exception(error)
             return
         self._inference_hist.observe(time.perf_counter() - inference_started)
-        cacheable = [(pending, result)
-                     for pending, result in zip(batch, results)
-                     if pending.cache_key is not None]
-        if cacheable:
-            with self._lock:
-                for pending, result in cacheable:
-                    # A reload between submit and here bumped the
-                    # generation; caching the old-model outcome would serve
-                    # stale selections as hits under the new model.
-                    if pending.generation != self._model_generation:
-                        continue
-                    self._results[pending.cache_key] = result
-                    self._results.move_to_end(pending.cache_key)
-                while len(self._results) > self.result_cache_size:
-                    self._results.popitem(last=False)
         for pending, result in zip(batch, results):
             pending.future.set_result(result)
 

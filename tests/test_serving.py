@@ -294,8 +294,12 @@ class TestSelectionService:
         for lhs, rhs in zip(first.scores, second.scores):
             assert lhs.predicted_quality == rhs.predicted_quality
 
-    def test_property_cache_eviction(self, trained_system, query_graphs):
-        service = SelectionService(trained_system, property_cache_size=2)
+    def test_property_cache_eviction(self, trained_system, query_graphs,
+                                     monkeypatch):
+        import repro.serving.service as service_module
+
+        monkeypatch.setattr(service_module, "PROPERTY_CACHE_SIZE", 2)
+        service = SelectionService(trained_system)
         for graph in query_graphs:
             service.resolve_properties(graph)
         assert len(service._properties) == 2
@@ -453,17 +457,6 @@ class TestHTTPServer:
         response = client.select(props, "pagerank", 2)
         expected = trained_system.select_partitioner(props, "pagerank", 2)
         assert response["selected"] == expected.selected
-
-    def test_predict_endpoint(self, live_server, trained_system,
-                              query_graphs):
-        client = SelectionClient(live_server.url)
-        response = client.predict(query_graphs[0], "pagerank", 2)
-        assert [p["partitioner"] for p in response["predictions"]] == \
-            list(PARTITIONERS)
-        for prediction in response["predictions"]:
-            assert set(prediction["predicted_quality"]) == {
-                "replication_factor", "edge_balance", "vertex_balance",
-                "source_balance", "destination_balance"}
 
     @pytest.mark.parametrize("payload,fragment", [
         ({}, "exactly one of"),
@@ -689,63 +682,25 @@ class TestServingCLI:
 
 
 # --------------------------------------------------------------------------- #
-# Selection result cache
+# Model reload
 # --------------------------------------------------------------------------- #
-class TestResultCache:
-    def test_repeated_request_hits_cache(self, trained_system, query_graphs):
-        service = SelectionService(trained_system)
-        graph = query_graphs[0]
-        first = service.select(graph, "pagerank", 2)
-        second = service.select(graph, "pagerank", 2)
-        assert service.stats.result_cache_misses == 1
-        assert service.stats.result_cache_hits == 1
-        assert second is first  # memoized outcome, no predictor call
-        # different k misses
-        service.select(graph, "pagerank", 3)
-        assert service.stats.result_cache_misses == 2
-
-    def test_cache_keyed_by_property_values(self, trained_system,
-                                            query_graphs):
-        """A precomputed-properties request shares the cache entry of the
-        equivalent graph request."""
-        service = SelectionService(trained_system)
-        graph = query_graphs[0]
-        from_graph = service.select(graph, "pagerank", 2)
-        properties = compute_properties(graph, exact_triangles=False)
-        from_properties = service.select(properties, "pagerank", 2)
-        assert from_properties is from_graph
-        assert service.stats.result_cache_hits == 1
-
-    def test_bounded_lru_eviction(self, trained_system, query_graphs):
-        service = SelectionService(trained_system, result_cache_size=2)
-        for graph in query_graphs[:3]:
-            service.select(graph, "pagerank", 2)
-        assert len(service._results) == 2
-        # oldest entry was evicted -> re-selecting it misses again
-        service.select(query_graphs[0], "pagerank", 2)
-        assert service.stats.result_cache_misses == 4
-
-    def test_zero_size_disables_cache(self, trained_system, query_graphs):
-        service = SelectionService(trained_system, result_cache_size=0)
-        first = service.select(query_graphs[0], "pagerank", 2)
-        second = service.select(query_graphs[0], "pagerank", 2)
-        assert first is not second
-        assert service.stats.result_cache_hits == 0
-        assert service.stats.result_cache_misses == 0
-        with pytest.raises(ValueError):
-            SelectionService(trained_system, result_cache_size=-1)
-
-    def test_invalidate_and_reload(self, trained_system, query_graphs):
+class TestModelReload:
+    def test_reload_swaps_model_and_keeps_properties(self, trained_system,
+                                                     small_profile,
+                                                     query_graphs):
         service = SelectionService(trained_system)
         service.select(query_graphs[0], "pagerank", 2)
-        assert service.invalidate_result_cache() == 1
-        assert len(service._results) == 0
-        service.select(query_graphs[0], "pagerank", 2)
-        service.reload(trained_system, model_info={"name": "swapped"})
-        assert len(service._results) == 0
+        retrained = EASE(partitioner_names=PARTITIONERS,
+                         feature_set="simple").train(small_profile)
+        service.reload(retrained, model_info={"name": "swapped"})
         assert service.model_info == {"name": "swapped"}
+        # the next answer comes from the new model
+        result = service.select(query_graphs[0], "pagerank", 2)
+        assert result == retrained.select_partitioner(
+            query_graphs[0], "pagerank", 2)
         # properties stay cached across reloads (model-independent)
         assert len(service._properties) == 1
+        assert service.stats.property_cache_hits == 1
 
     def test_reload_from_registry_on_promote(self, registry, trained_system,
                                              small_profile, query_graphs):
@@ -755,7 +710,7 @@ class TestResultCache:
                                                  "production")
         baseline = service.select(query_graphs[0], "pagerank", 2)
         assert service.reload_from_registry() is False
-        assert len(service._results) == 1
+        assert service.model_info["version"] == first.version
 
         # publish a differently-trained system and promote it
         retrained = EASE(partitioner_names=PARTITIONERS,
@@ -764,23 +719,15 @@ class TestResultCache:
         registry.promote("ease", second.version, tag="production")
         assert service.reload_from_registry() is True
         assert service.model_info["version"] == second.version
-        assert len(service._results) == 0
         result = service.select(query_graphs[0], "pagerank", 2)
-        assert result is not baseline
+        assert result == retrained.select_partitioner(
+            query_graphs[0], "pagerank", 2)
+        assert result != baseline
 
     def test_reload_from_registry_requires_registry(self, trained_system):
         service = SelectionService(trained_system)
         with pytest.raises(RuntimeError):
             service.reload_from_registry()
-
-    def test_healthz_surfaces_result_cache_counters(self, trained_system,
-                                                    query_graphs):
-        service = SelectionService(trained_system)
-        service.select(query_graphs[0], "pagerank", 2)
-        service.select(query_graphs[0], "pagerank", 2)
-        stats = service.health()["stats"]
-        assert stats["result_cache_hits"] == 1
-        assert stats["result_cache_misses"] == 1
 
 
 class TestBatchSubmission:
@@ -819,14 +766,16 @@ class TestBatchSubmission:
 
     def test_batch_with_cache_hits_and_misses(self, trained_system,
                                               query_graphs):
+        """A batch mixing a property-cache hit and a miss answers both."""
         service = SelectionService(trained_system)
         warm = service.select(query_graphs[0], "pagerank", 2)
         results = service.select_many([
             SelectionRequest(graph=g, algorithm="pagerank", num_partitions=2)
             for g in query_graphs[:2]])
-        assert results[0] is warm
-        assert service.stats.result_cache_hits == 1
-        assert service.stats.result_cache_misses == 2
+        assert results[0].selected == warm.selected
+        assert service.stats.property_cache_hits == 1
+        assert service.stats.property_cache_misses == 2
+        assert service.stats.requests == 3
 
     def test_batch_validation_fails_before_enqueue(self, trained_system,
                                                    query_graphs):
@@ -838,34 +787,6 @@ class TestBatchSubmission:
                 SelectionRequest(graph=query_graphs[1], algorithm="bogus",
                                  num_partitions=2)])
         assert service.stats.requests == 0
-
-    def test_batched_worker_path_uses_result_cache(self, trained_system,
-                                                   query_graphs):
-        with SelectionService(trained_system) as service:
-            first = service.select(query_graphs[0], "pagerank", 2)
-            second = service.select(query_graphs[0], "pagerank", 2)
-            assert second is first
-            assert service.stats.result_cache_hits == 1
-
-    def test_inflight_batch_does_not_cache_across_reload(self, trained_system,
-                                                         query_graphs):
-        """A batch submitted before reload() must answer but never write an
-        old-model result into the (freshly invalidated) cache."""
-        from repro.serving.service import _Pending
-
-        service = SelectionService(trained_system)
-        properties = service.resolve_properties(query_graphs[0])
-        request = SelectionRequest(graph=properties, algorithm="pagerank",
-                                   num_partitions=2)
-        pending = _Pending(request, cache_key=service._result_key(request),
-                           generation=service._model_generation)
-        service.reload(trained_system, model_info={"name": "swapped"})
-        service._execute([pending])
-        assert pending.future.result().selected
-        assert len(service._results) == 0
-        # a fresh request under the new generation caches normally again
-        service.select(properties, "pagerank", 2)
-        assert len(service._results) == 1
 
 
 def test_graph_payload_accepts_empty_edge_lists():

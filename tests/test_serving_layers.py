@@ -133,12 +133,20 @@ class TestRequestCore:
         assert response.payload["selected"] in PARTITIONERS
 
     def test_predict(self, core, query_graph):
-        response = core.handle("POST", "/v1/predict",
+        """The per-candidate predictions are the scores of a select answer;
+        there is no second endpoint for them."""
+        response = core.handle("POST", "/v1/select",
                                body=_select_payload(query_graph))
         assert response.status == 200
-        assert [p["partitioner"]
-                for p in response.payload["predictions"]] == \
+        assert [s["partitioner"] for s in response.payload["scores"]] == \
             list(PARTITIONERS)
+        for score in response.payload["scores"]:
+            assert set(score["predicted_quality"]) == {
+                "replication_factor", "edge_balance", "vertex_balance",
+                "source_balance", "destination_balance"}
+        gone = core.handle("POST", "/v1/predict",
+                           body=_select_payload(query_graph))
+        assert gone.status == 404
 
     def test_malformed_bodies_are_400(self, core):
         for body in (None, b"{not json", [1, 2], {"algorithm": "pagerank"}):
