@@ -64,7 +64,7 @@ Two expose the observability layer (``docs/OBSERVABILITY.md``):
     ``--scrape-dir`` (works after the pool exited).
 ``trace show``
     Pretty-print the distributed span trees that a ``profile --trace-dir``
-    or ``serve --trace-dir`` run exported as per-pid JSONL files.
+    run exported as per-pid JSONL files.
 
 Example session::
 
@@ -498,13 +498,11 @@ def _build_router(args: argparse.Namespace):
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from .obs import configure_logging, configure_tracing, get_logger
+    from .obs import configure_logging, get_logger
     from .serving import PreforkFrontend, SelectionHTTPServer
 
     configure_logging(level=args.log_level, format=args.log_format)
     logger = get_logger("repro.serve")
-    if args.trace_dir:
-        configure_tracing(args.trace_dir)
     if args.graph_store and not os.path.isdir(args.graph_store):
         raise SystemExit(f"graph store {args.graph_store!r} does not exist")
     if args.workers < 1:
@@ -544,8 +542,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.graph_store:
         logger.info(f"graph store: {args.graph_store} (requests may send "
                     f"'graph_fingerprint' instead of edge arrays)")
-    if args.trace_dir:
-        logger.info(f"tracing to {args.trace_dir}")
     logger.info("endpoints: POST /v1/select  GET /v1/models  "
                 "GET /healthz  GET /metrics")
     try:
@@ -944,9 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "cold-start: only meta.json is read up front)")
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request")
-    serve.add_argument("--trace-dir", default=None, metavar="DIR",
-                       help="export request/batch spans as per-pid JSONL "
-                            "trace files to this directory")
     serve.add_argument("--scrape-dir", default=None, metavar="DIR",
                        help="directory of the per-worker metric slot files "
                             "behind GET /metrics (default: a run-scoped "
@@ -975,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         "show", help="print the span trees of a trace directory")
     trace_show.add_argument("--trace-dir", required=True,
                             help="directory of spans-<pid>.jsonl files "
-                                 "(--trace-dir of profile/serve)")
+                                 "(--trace-dir of profile)")
     trace_show.add_argument("--trace-id", default=None,
                             help="restrict to one trace id")
     trace_show.set_defaults(handler=_command_trace_show)

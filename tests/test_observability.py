@@ -351,6 +351,16 @@ class TestTraceUnits:
             assert context is None
         assert envelope_context() is None
 
+    def test_serve_has_no_trace_dir(self, tmp_path, capsys):
+        """Serving opens no span, so ``serve`` offers no trace directory
+        (``profile --trace-dir`` does)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "irrelevant.pkl",
+                  "--trace-dir", str(tmp_path / "trace")])
+        assert exit_info.value.code == 2
+        assert "--trace-dir" in capsys.readouterr().err
+        assert not (tmp_path / "trace").exists()
+
     def test_nested_spans_share_a_trace_and_parent_correctly(self, tmp_path,
                                                              no_tracing):
         directory = str(tmp_path / "trace")
