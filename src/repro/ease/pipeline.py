@@ -24,7 +24,6 @@ from .quality_predictor import PartitioningQualityPredictor
 from .selector import (
     OptimizationGoal,
     PartitionerSelector,
-    SelectionRequest,
     SelectionResult,
 )
 
@@ -141,8 +140,3 @@ class EASE:
         """Automatically select a partitioner for a processing job."""
         return self.selector.select(graph, algorithm, num_partitions,
                                     goal=goal, num_iterations=num_iterations)
-
-    def select_partitioner_batch(self, requests: Sequence[SelectionRequest]
-                                 ) -> Sequence[SelectionResult]:
-        """Select partitioners for many jobs in one vectorized predictor pass."""
-        return self.selector.select_batch(requests)

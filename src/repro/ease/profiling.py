@@ -24,7 +24,6 @@ from typing import Iterable, List, Optional, Sequence
 from ..graph import (
     Graph,
     GraphProperties,
-    compute_properties,
     compute_properties_batch,
 )
 from ..partitioning import ALL_PARTITIONER_NAMES
@@ -145,12 +144,6 @@ class GraphProfiler:
         from ..runtime.artifacts import ArtifactStore
 
         return ArtifactStore(self.cache_dir)
-
-    def graph_properties(self, graph: Graph) -> GraphProperties:
-        """Graph properties with the profiler's triangle-counting settings."""
-        return compute_properties(graph, exact_triangles=self.exact_triangles,
-                                  seed=self.seed,
-                                  store=self._property_store())
 
     def graph_properties_batch(self, graphs: Sequence[Graph]
                                ) -> List[GraphProperties]:

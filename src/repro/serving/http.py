@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from .core import MAX_BODY_BYTES, BadRequest, RequestCore, Response
@@ -168,9 +168,6 @@ class SelectionHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
-
-    def models_payload(self) -> Dict:
-        return self.core.models_response().payload
 
     # ------------------------------------------------------------------ #
     def serve_forever(self, poll_interval: float = 0.5) -> None:
