@@ -25,7 +25,7 @@ asserts operational SLOs rather than throughput geomeans:
   server with no admission limit; every request must succeed and the p50 /
   p99 request latencies must meet the SLO bounds;
 * **overload phase**: the same generators against a deliberately starved
-  server (``--max-inflight 1``, slow batcher, result cache defeated), which
+  server (``--max-inflight 1``, slow batcher, every request a new job), which
   must shed deterministically: 429 responses observed, every one carrying
   ``Retry-After``, successes still completing, and the shed counter visible
   on ``/healthz``.
@@ -289,9 +289,9 @@ def _run_load(url: str, processes: int, requests_per_process: int,
               unique_jobs: bool):
     """Fan ``processes`` generator processes at ``url``; returns samples.
 
-    ``unique_jobs`` gives every request a distinct ``num_iterations`` so the
-    service's result cache cannot absorb the load (the overload phase must
-    hit the admission gate, not the cache).
+    ``unique_jobs`` gives every request a distinct ``num_iterations``, so
+    every request of the overload phase is a different job and each one
+    runs the predictors behind the admission gate.
     """
     properties = _request_grid(1)[0][0].as_dict()
     context = multiprocessing.get_context(
