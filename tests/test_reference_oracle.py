@@ -48,6 +48,9 @@ buffer) rather than closeness:
   started batcher, through ``select_many`` and twice over — against
   ``select_batch`` on the raw graphs in batches of the same size, result
   for result.
+* the strategy evaluator — ``SelectionStrategyEvaluator.compare`` for both
+  goals against the same comparison recomputed with one
+  ``select_batch([request])`` per job.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -80,6 +83,7 @@ from repro.ease import (
     GraphProfiler,
     ProcessingTimePredictor,
     SelectionRequest,
+    SelectionStrategyEvaluator,
 )
 from repro.ease.quality_predictor import default_quality_model
 from repro.generators import generate_realworld_graph, generate_rmat
@@ -746,3 +750,46 @@ def test_service_answers_like_selector(path):
         assert ([score.partitioner for score in got.ranking()]
                 == [score.partitioner for score in want.ranking()])
         assert got == want
+
+
+# --------------------------------------------------------------------------- #
+# The strategy evaluator vs. one selection per job
+# --------------------------------------------------------------------------- #
+def _sps_per_job(evaluator, dataset, goal):
+    """(goal, algorithm, jobs, SPS mean seconds, SPS optimal-pick share)
+    per algorithm, each job answered by its own one-request
+    ``select_batch``."""
+    properties = {record.graph_name: record.properties
+                  for record in dataset.processing}
+    jobs = evaluator.build_jobs(dataset)
+    rows = []
+    for algorithm in sorted({job.algorithm for job in jobs}):
+        total, optimal, count = 0.0, 0, 0
+        for job in jobs:
+            if job.algorithm != algorithm:
+                continue
+            pick = evaluator.selector.select_batch([SelectionRequest(
+                properties[job.graph_name], algorithm, job.num_partitions,
+                goal=goal, num_iterations=evaluator.num_iterations)])[0]
+            cost = job.cost(pick.selected, goal)
+            total += cost
+            optimal += int(np.isclose(cost, min(
+                job.cost(name, goal) for name in job.processing_seconds)))
+            count += 1
+        rows.append((goal, algorithm, count, total / count, optimal / count))
+    return rows
+
+
+def test_evaluator_picks_like_per_job_selection():
+    """The Table VIII comparison scores EASE's pick (``SPS``) exactly as
+    one ``select_batch([request])`` per job does, for both goals: a pick
+    does not depend on which other jobs share its selector pass."""
+    dataset = _profile_reference()
+    evaluator = SelectionStrategyEvaluator(_served_system().selector)
+    goals = ("end_to_end", "processing")
+    got = [(comparison.goal, comparison.algorithm, comparison.num_jobs,
+            comparison.strategy_seconds["SPS"],
+            comparison.optimal_pick_fraction["SPS"])
+           for comparison in evaluator.compare(dataset, goals=goals)]
+    assert got == [row for goal in goals
+                   for row in _sps_per_job(evaluator, dataset, goal)]
