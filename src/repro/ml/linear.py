@@ -12,6 +12,19 @@ from .preprocessing import PolynomialFeatures, StandardScaler
 __all__ = ["LinearRegression", "RidgeRegression", "PolynomialRegression"]
 
 
+def _affine(features: np.ndarray, coefficients: np.ndarray,
+            intercept: float) -> np.ndarray:
+    """``features @ coefficients + intercept``, summed row by row.
+
+    A matrix-vector product sums each row in an order that depends on the
+    shape of the whole matrix, so a row's last bits would depend on its
+    batch.  An elementwise product reduced along the contiguous last axis
+    sums every row in the same order whatever the batch holds.
+    """
+    return ((np.ascontiguousarray(features) * coefficients).sum(axis=1)
+            + intercept)
+
+
 class LinearRegression(Regressor):
     """Ordinary least squares via the pseudo-inverse (numerically stable)."""
 
@@ -40,8 +53,7 @@ class LinearRegression(Regressor):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         check_fitted(self, "coefficients_")
-        features = check_2d(features)
-        return features @ self.coefficients_ + self.intercept_
+        return _affine(check_2d(features), self.coefficients_, self.intercept_)
 
 
 class RidgeRegression(Regressor):
@@ -75,7 +87,7 @@ class RidgeRegression(Regressor):
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         check_fitted(self, "coefficients_")
-        return check_2d(features) @ self.coefficients_ + self.intercept_
+        return _affine(check_2d(features), self.coefficients_, self.intercept_)
 
 
 class PolynomialRegression(Regressor):

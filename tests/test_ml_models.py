@@ -90,6 +90,35 @@ class TestModelContract:
         assert r2_score(targets, predictions) > 0.5
 
 
+#: The families EASE serves predictions from (linear, ridge and polynomial
+#: for the processing-time models, the three tree families for the rest).
+SERVED_MODELS = [
+    LinearRegression(),
+    RidgeRegression(alpha=0.1),
+    PolynomialRegression(degree=2, alpha=1e-4),
+    DecisionTreeRegressor(max_depth=6),
+    RandomForestRegressor(n_estimators=10, max_depth=6, random_state=0),
+    GradientBoostingRegressor(n_estimators=20, max_depth=3, random_state=0),
+]
+
+
+@pytest.mark.parametrize("order", ("C", "F"))
+@pytest.mark.parametrize("model", SERVED_MODELS,
+                         ids=lambda m: type(m).__name__)
+def test_row_prediction_does_not_depend_on_its_batch(model, order):
+    """``predict(X)[i]`` equals ``predict(X[i:i+1])[0]`` bit for bit, so a
+    served answer does not depend on which requests shared its batch."""
+    rng = np.random.default_rng(11)
+    features = rng.lognormal(sigma=2.0, size=(72, 9))
+    targets = features @ rng.normal(size=9) + rng.normal(size=72)
+    fitted = clone(model).fit(features, targets)
+    features = np.asarray(features, order=order)
+    batch = fitted.predict(features)
+    singles = np.concatenate([fitted.predict(features[row:row + 1])
+                              for row in range(len(features))])
+    assert batch.tobytes() == singles.tobytes()
+
+
 class TestLinearModels:
     def test_ols_recovers_coefficients(self):
         features, targets = _linear_data(noise=0.0)

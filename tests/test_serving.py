@@ -730,18 +730,34 @@ class TestModelReload:
             service.reload_from_registry()
 
 
+@pytest.fixture(scope="module")
+def two_algorithm_system():
+    """A system that also serves ``connected_components``, whose processing
+    model is the polynomial (ridge) family rather than a tree ensemble."""
+    profiler = GraphProfiler(partitioner_names=PARTITIONERS,
+                             partition_counts=(2,),
+                             processing_partition_count=2,
+                             algorithms=("pagerank", "connected_components"))
+    graphs = [generate_rmat(96, 500 + 150 * s, seed=s, graph_type="rmat")
+              for s in range(4)]
+    return EASE(partitioner_names=PARTITIONERS).train(
+        profiler.profile(graphs, graphs))
+
+
 class TestBatchSubmission:
-    def test_select_many_matches_singles(self, trained_system, query_graphs):
-        reference = SelectionService(trained_system)
-        expected = [reference.select(g, "pagerank", 2) for g in query_graphs]
-        service = SelectionService(trained_system)
-        results = service.select_many([
-            SelectionRequest(graph=g, algorithm="pagerank", num_partitions=2)
-            for g in query_graphs])
-        for got, want in zip(results, expected):
-            assert got.selected == want.selected
-            for lhs, rhs in zip(got.scores, want.scores):
-                assert lhs.predicted_quality == rhs.predicted_quality
+    def test_select_many_matches_singles(self, two_algorithm_system):
+        graphs = [generate_rmat(128, 800 + 120 * s, seed=20 + s)
+                  for s in range(8)]
+        requests = [SelectionRequest(graph=g, algorithm=algorithm,
+                                     num_partitions=k, goal=goal)
+                    for g in graphs
+                    for algorithm in ("pagerank", "connected_components")
+                    for k, goal in ((2, "end_to_end"), (4, "processing"))]
+        reference = SelectionService(two_algorithm_system)
+        expected = [reference.select(r.graph, r.algorithm, r.num_partitions,
+                                     goal=r.goal) for r in requests]
+        service = SelectionService(two_algorithm_system)
+        assert service.select_many(requests) == expected
 
     def test_cold_batch_is_one_property_engine_pass(self, trained_system,
                                                     query_graphs,
