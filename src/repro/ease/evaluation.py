@@ -15,12 +15,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graph import GraphProperties
 from ..ml import mape
 from ..partitioning import QUALITY_METRIC_NAMES
+from ..processing.algorithms import (
+    AVERAGE_ITERATION_ALGORITHMS,
+    DEFAULT_NUM_ITERATIONS,
+)
 from .dataset import ProfileDataset, QualityRecord
-from .processing_time_predictor import AVERAGE_ITERATION_ALGORITHMS
 from .quality_predictor import PartitioningQualityPredictor
-from .selector import OptimizationGoal, PartitionerSelector
+from .selector import OptimizationGoal, PartitionerSelector, SelectionRequest
 
 __all__ = [
     "per_type_mape_matrix",
@@ -61,7 +65,8 @@ def per_type_mape_matrix(predictor: PartitioningQualityPredictor,
 # --------------------------------------------------------------------------- #
 @dataclass
 class JobOutcome:
-    """True costs of one (graph, algorithm) job for every partitioner."""
+    """True costs of one (graph, algorithm) job for every partitioner, and
+    the graph properties the selector predicts the job from."""
 
     graph_name: str
     graph_type: str
@@ -70,6 +75,7 @@ class JobOutcome:
     processing_seconds: Dict[str, float]
     partitioning_seconds: Dict[str, float]
     replication_factor: Dict[str, float]
+    properties: Optional[GraphProperties] = None
 
     def end_to_end_seconds(self, partitioner: str) -> float:
         return (self.processing_seconds[partitioner]
@@ -109,7 +115,7 @@ class SelectionStrategyEvaluator:
     """
 
     def __init__(self, selector: PartitionerSelector,
-                 num_iterations: int = 10) -> None:
+                 num_iterations: int = DEFAULT_NUM_ITERATIONS) -> None:
         self.selector = selector
         self.num_iterations = num_iterations
 
@@ -126,7 +132,6 @@ class SelectionStrategyEvaluator:
             for record in evaluation.quality}
 
         jobs: Dict[Tuple[str, str, int], JobOutcome] = {}
-        properties_of_graph = {}
         for record in evaluation.processing:
             key = (record.graph_name, record.algorithm, record.num_partitions)
             if key not in jobs:
@@ -135,7 +140,7 @@ class SelectionStrategyEvaluator:
                     algorithm=record.algorithm,
                     num_partitions=record.num_partitions,
                     processing_seconds={}, partitioning_seconds={},
-                    replication_factor={})
+                    replication_factor={}, properties=record.properties)
             job = jobs[key]
             total = record.target_seconds
             if record.algorithm in AVERAGE_ITERATION_ALGORITHMS:
@@ -147,21 +152,15 @@ class SelectionStrategyEvaluator:
                 lookup_key, 0.0)
             job.replication_factor[record.partitioner] = quality_lookup.get(
                 lookup_key, record.metrics)["replication_factor"]
-            properties_of_graph[record.graph_name] = record.properties
-        self._properties_of_graph = properties_of_graph
         return list(jobs.values())
 
     # ------------------------------------------------------------------ #
-    def _strategy_picks(self, job: JobOutcome, goal: str) -> Dict[str, float]:
-        """True cost incurred by each strategy's pick on one job."""
+    def _strategy_picks(self, job: JobOutcome, goal: str,
+                        ease_pick: str) -> Dict[str, float]:
+        """True cost incurred by each strategy's pick on one job, given the
+        partitioner EASE's selector picked for it."""
         partitioners = sorted(job.processing_seconds)
         costs = {p: job.cost(p, goal) for p in partitioners}
-
-        selection = self.selector.select(
-            self._properties_of_graph[job.graph_name], job.algorithm,
-            job.num_partitions, goal=goal,
-            num_iterations=self.num_iterations)
-        ease_pick = selection.selected
         if ease_pick not in costs:
             ease_pick = partitioners[0]
 
@@ -182,7 +181,8 @@ class SelectionStrategyEvaluator:
                 ) -> List[StrategyComparison]:
         """Run the full Table VIII comparison.
 
-        Returns one :class:`StrategyComparison` per (algorithm, goal).
+        Returns one :class:`StrategyComparison` per (algorithm, goal).  EASE
+        picks for every job of a goal in one selector pass.
         """
         jobs = self.build_jobs(evaluation)
         if algorithms is not None:
@@ -192,13 +192,21 @@ class SelectionStrategyEvaluator:
         by_algorithm: Dict[str, List[JobOutcome]] = {}
         for job in jobs:
             by_algorithm.setdefault(job.algorithm, []).append(job)
+        groups = sorted(by_algorithm.items())
 
         for goal in goals:
-            for algorithm, algorithm_jobs in sorted(by_algorithm.items()):
+            selections = iter(self.selector.select_batch([
+                SelectionRequest(
+                    graph=job.properties, algorithm=job.algorithm,
+                    num_partitions=job.num_partitions, goal=goal,
+                    num_iterations=self.num_iterations)
+                for _, algorithm_jobs in groups for job in algorithm_jobs]))
+            for algorithm, algorithm_jobs in groups:
                 totals = {name: 0.0 for name in ("SPS", "SO", "SSRF", "SR", "SW")}
                 optimal_picks = {name: 0 for name in totals}
                 for job in algorithm_jobs:
-                    picks = self._strategy_picks(job, goal)
+                    picks = self._strategy_picks(
+                        job, goal, next(selections).selected)
                     optimum = picks["SO"]
                     for name, cost in picks.items():
                         totals[name] += cost

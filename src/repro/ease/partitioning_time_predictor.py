@@ -61,10 +61,6 @@ class PartitioningTimePredictor:
         raw = self._target_model.predict(features)
         return np.clip(np.expm1(raw), 0.0, None)
 
-    def predict_one(self, properties: GraphProperties, partitioner: str) -> float:
-        """Predict the run-time of one partitioner on one graph."""
-        return float(self.predict([properties], [partitioner])[0])
-
     def evaluate(self, records: Sequence[PartitioningTimeRecord]
                  ) -> Dict[str, float]:
         """MAPE and RMSE on held-out records."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from ..graph import Graph, GraphProperties
-from ..partitioning import ALL_PARTITIONER_NAMES, PartitionQualityMetrics
+from ..partitioning import ALL_PARTITIONER_NAMES
 from .dataset import ProfileDataset
 from .partitioning_time_predictor import PartitioningTimePredictor
 from .processing_time_predictor import ProcessingTimePredictor
@@ -24,6 +24,7 @@ from .quality_predictor import PartitioningQualityPredictor
 from .selector import (
     OptimizationGoal,
     PartitionerSelector,
+    SelectionRequest,
     SelectionResult,
 )
 
@@ -105,38 +106,12 @@ class EASE:
             raise RuntimeError("EASE must be trained before use")
         return self._selector
 
-    def predict_quality(self, graph: Union[Graph, GraphProperties],
-                        partitioner: str,
-                        num_partitions: int) -> PartitionQualityMetrics:
-        """Predict the partitioning quality metrics of one partitioner."""
-        properties = self.selector._resolve_properties(graph)
-        return self.quality_predictor.predict(properties, partitioner,
-                                              num_partitions)
-
-    def predict_partitioning_seconds(self, graph: Union[Graph, GraphProperties],
-                                     partitioner: str) -> float:
-        """Predict the partitioning run-time of one partitioner."""
-        properties = self.selector._resolve_properties(graph)
-        return self.partitioning_time_predictor.predict_one(properties,
-                                                            partitioner)
-
-    def predict_processing_seconds(self, graph: Union[Graph, GraphProperties],
-                                   partitioner: str, algorithm: str,
-                                   num_partitions: int,
-                                   num_iterations: Optional[int] = None) -> float:
-        """Predict the processing run-time with one partitioner."""
-        properties = self.selector._resolve_properties(graph)
-        quality = self.quality_predictor.predict(properties, partitioner,
-                                                 num_partitions)
-        return self.processing_time_predictor.predict_total_seconds(
-            algorithm, properties, num_partitions, quality.as_dict(),
-            num_iterations=num_iterations)
-
     def select_partitioner(self, graph: Union[Graph, GraphProperties],
                            algorithm: str, num_partitions: int,
                            goal: str = OptimizationGoal.END_TO_END,
                            num_iterations: Optional[int] = None
                            ) -> SelectionResult:
         """Automatically select a partitioner for a processing job."""
-        return self.selector.select(graph, algorithm, num_partitions,
-                                    goal=goal, num_iterations=num_iterations)
+        return self.selector.select_batch([SelectionRequest(
+            graph=graph, algorithm=algorithm, num_partitions=num_partitions,
+            goal=goal, num_iterations=num_iterations)])[0]

@@ -21,7 +21,10 @@ from ..ml import (
     mape,
     rmse,
 )
-from ..processing.algorithms import AVERAGE_ITERATION_ALGORITHMS
+from ..processing.algorithms import (
+    AVERAGE_ITERATION_ALGORITHMS,
+    DEFAULT_NUM_ITERATIONS,
+)
 from .dataset import ProcessingRecord
 from .features import ProcessingTimeFeatureBuilder, TargetModel
 
@@ -116,8 +119,8 @@ class ProcessingTimePredictor:
 
         Rows may mix algorithms; they are grouped so each per-algorithm model
         is invoked once per batch.  ``num_iterations`` is an optional per-row
-        sequence (``None`` entries fall back to the default of 10 iterations
-        for average-iteration algorithms).
+        sequence (``None`` entries fall back to ``DEFAULT_NUM_ITERATIONS`` for
+        average-iteration algorithms).
         """
         count = len(algorithms)
         if num_iterations is None:
@@ -132,28 +135,11 @@ class ProcessingTimePredictor:
                 [properties[row] for row in rows],
                 [partition_counts[row] for row in rows],
                 [quality_metrics[row] for row in rows])
-            for row, target in zip(rows, targets):
-                total = float(target)
-                if algorithm in AVERAGE_ITERATION_ALGORITHMS:
-                    iterations = num_iterations[row]
-                    total *= iterations if iterations is not None else 10
-                totals[row] = total
+            if algorithm in AVERAGE_ITERATION_ALGORITHMS:
+                targets *= [DEFAULT_NUM_ITERATIONS if num_iterations[row] is None
+                            else num_iterations[row] for row in rows]
+            totals[rows] = targets
         return totals
-
-    def predict_total_seconds(self, algorithm: str,
-                              properties: GraphProperties,
-                              num_partitions: int,
-                              quality_metrics: Dict[str, float],
-                              num_iterations: Optional[int] = None) -> float:
-        """Predict the total processing time of one job.
-
-        For average-iteration algorithms the prediction is multiplied by the
-        requested ``num_iterations`` (default 10, the paper's PageRank
-        profiling setting).
-        """
-        return float(self.predict_total_seconds_batch(
-            [algorithm], [properties], [num_partitions], [quality_metrics],
-            [num_iterations])[0])
 
     def evaluate(self, records: Sequence[ProcessingRecord]
                  ) -> Dict[str, Dict[str, float]]:

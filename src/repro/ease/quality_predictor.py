@@ -10,7 +10,7 @@ replication-factor model can use either the basic or the advanced feature set.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from ..ml import (
     mape,
     rmse,
 )
-from ..partitioning import PartitionQualityMetrics, QUALITY_METRIC_NAMES
+from ..partitioning import QUALITY_METRIC_NAMES
 from .dataset import QualityRecord
 from .features import QualityFeatureBuilder, TargetModel
 
@@ -142,23 +142,6 @@ class PartitioningQualityPredictor:
                 target, properties, partitioners, partition_counts))
             for target in QUALITY_METRIC_NAMES
         }
-
-    def predict_batch(self, properties: Sequence[GraphProperties],
-                      partitioners: Sequence[str],
-                      partition_counts: Sequence[int]
-                      ) -> List[PartitionQualityMetrics]:
-        """Predict all five metrics for a batch of (graph, partitioner, k)."""
-        columns = self.predict_metric_columns(properties, partitioners,
-                                              partition_counts)
-        return [PartitionQualityMetrics(**{target: float(columns[target][row])
-                                           for target in QUALITY_METRIC_NAMES})
-                for row in range(len(properties))]
-
-    def predict(self, properties: GraphProperties, partitioner: str,
-                num_partitions: int) -> PartitionQualityMetrics:
-        """Predict all five metrics for a single (graph, partitioner, k)."""
-        return self.predict_batch([properties], [partitioner],
-                                  [num_partitions])[0]
 
     # ------------------------------------------------------------------ #
     def evaluate(self, records: Sequence[QualityRecord]) -> Dict[str, Dict[str, float]]:

@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..graph import Graph, GraphProperties, compute_properties
+from ..graph import Graph, GraphProperties, compute_properties_batch
 from ..partitioning import ALL_PARTITIONER_NAMES
 from .partitioning_time_predictor import PartitioningTimePredictor
 from .processing_time_predictor import ProcessingTimePredictor
 from .quality_predictor import PartitioningQualityPredictor
 
 __all__ = ["OptimizationGoal", "PartitionerScore", "SelectionResult",
-           "SelectionRequest", "PartitionerSelector"]
+           "SelectionRequest", "PartitionerSelector", "request_properties"]
 
 
 class OptimizationGoal:
@@ -93,6 +93,22 @@ class SelectionRequest:
     num_iterations: Optional[int] = None
 
 
+def request_properties(graphs: Sequence[Union[Graph, GraphProperties]]
+                       ) -> List[GraphProperties]:
+    """The properties a selection is predicted from, one per request graph.
+
+    Precomputed :class:`GraphProperties` pass through unchanged.  Raw graphs
+    run through one :func:`repro.graph.compute_properties_batch` call with
+    sampled triangle counts, so equal-content graphs are computed once.
+    """
+    raw = [graph for graph in graphs if not isinstance(graph, GraphProperties)]
+    if not raw:
+        return list(graphs)
+    computed = iter(compute_properties_batch(raw, exact_triangles=False))
+    return [graph if isinstance(graph, GraphProperties) else next(computed)
+            for graph in graphs]
+
+
 class PartitionerSelector:
     """Automatic partitioner selection from the three EASE predictors.
 
@@ -114,12 +130,6 @@ class PartitionerSelector:
         self.partitioner_names = list(partitioner_names)
 
     # ------------------------------------------------------------------ #
-    def _resolve_properties(self, graph: Union[Graph, GraphProperties]
-                            ) -> GraphProperties:
-        if isinstance(graph, GraphProperties):
-            return graph
-        return compute_properties(graph, exact_triangles=False)
-
     def score_partitioners_batch(self, requests: Sequence[SelectionRequest]
                                  ) -> List[List[PartitionerScore]]:
         """Predict costs of every candidate for a batch of requests.
@@ -131,8 +141,7 @@ class PartitionerSelector:
         if not requests:
             return []
         candidates = self.partitioner_names
-        properties = [self._resolve_properties(request.graph)
-                      for request in requests]
+        properties = request_properties([request.graph for request in requests])
         flat_properties = [props for props in properties
                            for _ in candidates]
         flat_partitioners = list(candidates) * len(requests)
@@ -153,18 +162,17 @@ class PartitionerSelector:
         processing_seconds = self.processing_time_predictor.predict_total_seconds_batch(
             flat_algorithms, flat_properties, flat_counts, quality_dicts,
             num_iterations=flat_iterations)
-        scores_per_request: List[List[PartitionerScore]] = []
-        for base in range(0, len(flat_partitioners), len(candidates)):
-            scores_per_request.append([
-                PartitionerScore(
-                    partitioner=flat_partitioners[base + offset],
-                    predicted_partitioning_seconds=float(
-                        partitioning_seconds[base + offset]),
-                    predicted_processing_seconds=float(
-                        processing_seconds[base + offset]),
-                    predicted_quality=quality_dicts[base + offset])
-                for offset in range(len(candidates))])
-        return scores_per_request
+        scores = [PartitionerScore(
+            partitioner=partitioner,
+            predicted_partitioning_seconds=float(partitioning),
+            predicted_processing_seconds=float(processing),
+            predicted_quality=quality)
+            for partitioner, partitioning, processing, quality in zip(
+                flat_partitioners, partitioning_seconds, processing_seconds,
+                quality_dicts)]
+        width = len(candidates)
+        return [scores[base:base + width]
+                for base in range(0, len(scores), width)]
 
     def select_batch(self, requests: Sequence[SelectionRequest]
                      ) -> List[SelectionResult]:
@@ -180,11 +188,3 @@ class PartitionerSelector:
                 algorithm=request.algorithm,
                 num_partitions=request.num_partitions, scores=scores))
         return results
-
-    def select(self, graph: Union[Graph, GraphProperties], algorithm: str,
-               num_partitions: int, goal: str = OptimizationGoal.END_TO_END,
-               num_iterations: Optional[int] = None) -> SelectionResult:
-        """Select the partitioner minimising the chosen objective."""
-        return self.select_batch([SelectionRequest(
-            graph=graph, algorithm=algorithm, num_partitions=num_partitions,
-            goal=goal, num_iterations=num_iterations)])[0]

@@ -14,13 +14,9 @@ __all__ = ["LinearRegression", "RidgeRegression", "PolynomialRegression"]
 
 def _affine(features: np.ndarray, coefficients: np.ndarray,
             intercept: float) -> np.ndarray:
-    """``features @ coefficients + intercept``, summed row by row.
-
-    A matrix-vector product sums each row in an order that depends on the
-    shape of the whole matrix, so a row's last bits would depend on its
-    batch.  An elementwise product reduced along the contiguous last axis
-    sums every row in the same order whatever the batch holds.
-    """
+    """``features @ coefficients + intercept`` summed row by row: a
+    matrix-vector product sums in an order set by the whole matrix's shape,
+    so a row's last bits would depend on the other rows of its batch."""
     return ((np.ascontiguousarray(features) * coefficients).sum(axis=1)
             + intercept)
 
@@ -33,15 +29,11 @@ class LinearRegression(Regressor):
         self.coefficients_: Optional[np.ndarray] = None
         self.intercept_: float = 0.0
 
-    def _design_matrix(self, features: np.ndarray) -> np.ndarray:
-        if self.fit_intercept:
-            return np.column_stack([np.ones(features.shape[0]), features])
-        return features
-
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "LinearRegression":
         features = check_2d(features)
         targets = np.asarray(targets, dtype=np.float64).ravel()
-        design = self._design_matrix(features)
+        design = (np.column_stack([np.ones(features.shape[0]), features])
+                  if self.fit_intercept else features)
         solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
         if self.fit_intercept:
             self.intercept_ = float(solution[0])

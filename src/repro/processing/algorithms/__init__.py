@@ -25,6 +25,7 @@ __all__ = [
     "ALGORITHM_FACTORIES",
     "ALL_ALGORITHM_NAMES",
     "AVERAGE_ITERATION_ALGORITHMS",
+    "DEFAULT_NUM_ITERATIONS",
     "create_algorithm",
 ]
 
@@ -54,6 +55,11 @@ ALL_ALGORITHM_NAMES: Sequence[str] = (
 AVERAGE_ITERATION_ALGORITHMS = frozenset(
     name for name, algorithm in ALGORITHM_FACTORIES.items()
     if not algorithm.runs_until_convergence)
+
+#: Iterations of an average-iteration job that names none: the paper's
+#: PageRank profiling setting.  Prediction and strategy evaluation both
+#: scale the average iteration time by it.
+DEFAULT_NUM_ITERATIONS = 10
 
 
 def create_algorithm(name: str, **kwargs) -> VertexCentricAlgorithm:

@@ -14,7 +14,7 @@ What is shared and what is not:
 * The **mmap graph store** is position-independent read-only data: every
   worker maps the same files, so resident graph bytes are shared through
   the page cache regardless of worker count.
-* **Caches and counters** (result cache, property cache, admission
+* **Caches and counters** (property cache, open-graph LRU, admission
   counters) are per-process — ``/healthz`` reports the worker that
   happened to answer (its ``pid`` field tells which).
 

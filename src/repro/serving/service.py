@@ -14,12 +14,10 @@ library callers.  Two mechanisms make it fast under concurrent load:
   underlying predictor model instead of one call per request per candidate.
 
 Every request runs the predictors.  Batched and sequential answers come from
-the same batched selector path; only the batch size differs, and with it the
-last bits of a polynomial-family processing prediction (its matrix-vector
-product sums in a shape-dependent order).  A batch of raw graphs resolves
-its properties with one :func:`repro.graph.compute_properties_batch` call
-(content-deduplicated; one vectorized engine pass per distinct graph) via
-:meth:`submit_many`.
+the same batched selector path, which answers each request the same whatever
+else shares its batch.  A batch of raw graphs resolves its properties with
+one :func:`repro.ease.selector.request_properties` call (content-deduplicated;
+one vectorized engine pass per distinct graph) via :meth:`submit_many`.
 """
 
 from __future__ import annotations
@@ -44,13 +42,13 @@ from ..graph import (
     GraphProperties,
     GraphStore,
     GraphStoreError,
-    compute_properties_batch,
 )
 from ..ease.pipeline import EASE
 from ..ease.selector import (
     OptimizationGoal,
     SelectionRequest,
     SelectionResult,
+    request_properties,
 )
 from ..runtime.jobs import graph_fingerprint
 from .registry import ModelRegistry, ModelVersion
@@ -597,7 +595,7 @@ class SelectionService:
         """Batched property resolution: one engine call for all cache misses.
 
         Cold-starting a corpus of unseen graphs therefore costs a single
-        :func:`repro.graph.compute_properties_batch` invocation — content
+        :func:`repro.ease.selector.request_properties` invocation — content
         duplicates collapse to one computation, each distinct graph runs one
         vectorized engine pass — instead of one per-request extraction
         round-trip through the service cache.
@@ -628,11 +626,11 @@ class SelectionService:
                     self.stats.inc("property_cache_misses")
                     missing.setdefault(cache_key, graphs[position])
         if missing:
-            # Same settings as PartitionerSelector._resolve_properties,
-            # so cached and uncached requests answer identically.
+            # The selector's own property path, so cached and uncached
+            # requests answer identically.
             started = time.perf_counter()
-            computed = dict(zip(missing, compute_properties_batch(
-                list(missing.values()), exact_triangles=False)))
+            computed = dict(zip(missing, request_properties(
+                list(missing.values()))))
             self._property_hist.observe(time.perf_counter() - started)
             with self._lock:
                 for cache_key, properties in computed.items():

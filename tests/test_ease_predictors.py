@@ -59,14 +59,16 @@ class TestQualityPredictor:
         fresh = PartitioningQualityPredictor()
         record = training_dataset.quality[0]
         with pytest.raises(RuntimeError):
-            fresh.predict(record.properties, record.partitioner, 4)
+            fresh.predict_metric_columns([record.properties],
+                                         [record.partitioner], [4])
 
     def test_predict_returns_all_metrics(self, predictor, training_dataset):
         record = training_dataset.quality[0]
-        prediction = predictor.predict(record.properties, "ne", 4)
-        metrics = prediction.as_dict()
-        assert set(metrics) == set(QUALITY_METRIC_NAMES)
-        assert all(value >= 1.0 for value in metrics.values())
+        columns = predictor.predict_metric_columns([record.properties],
+                                                   ["ne"], [4])
+        assert set(columns) == set(QUALITY_METRIC_NAMES)
+        assert all(column.shape == (1,) and column[0] >= 1.0
+                   for column in columns.values())
 
     def test_training_error_is_reasonable(self, predictor, training_dataset):
         scores = predictor.evaluate(training_dataset.quality)
@@ -124,13 +126,13 @@ class TestPartitioningTimePredictor:
 
     def test_predictions_are_positive(self, predictor, training_dataset):
         record = training_dataset.partitioning_time[0]
-        assert predictor.predict_one(record.properties, "ne") > 0
+        assert predictor.predict([record.properties], ["ne"])[0] > 0
 
     def test_in_memory_predicted_slower_than_hashing(self, predictor,
                                                      training_dataset):
         record = training_dataset.partitioning_time[0]
-        assert (predictor.predict_one(record.properties, "ne")
-                > predictor.predict_one(record.properties, "2d"))
+        ne, hashed = predictor.predict([record.properties] * 2, ["ne", "2d"])
+        assert ne > hashed
 
     def test_training_mape(self, predictor, training_dataset):
         scores = predictor.evaluate(training_dataset.partitioning_time)
@@ -140,7 +142,7 @@ class TestPartitioningTimePredictor:
         fresh = PartitioningTimePredictor()
         record = training_dataset.partitioning_time[0]
         with pytest.raises(RuntimeError):
-            fresh.predict_one(record.properties, "ne")
+            fresh.predict([record.properties], ["ne"])
 
 
 class TestProcessingTimePredictor:
@@ -158,30 +160,28 @@ class TestProcessingTimePredictor:
     def test_unknown_algorithm_raises(self, predictor, training_dataset):
         record = training_dataset.processing[0]
         with pytest.raises(ValueError):
-            predictor.predict_total_seconds("kcores", record.properties, 4,
-                                            record.metrics)
+            predictor.predict_total_seconds_batch(
+                ["kcores"], [record.properties], [4], [record.metrics])
+
+    @staticmethod
+    def _at_iterations(predictor, record, iterations):
+        """One job's total seconds at each iteration count, as one batch."""
+        return predictor.predict_total_seconds_batch(
+            [record.algorithm] * len(iterations),
+            [record.properties] * len(iterations), [4] * len(iterations),
+            [record.metrics] * len(iterations), num_iterations=iterations)
 
     def test_iterations_scale_total_time(self, predictor, training_dataset):
         record = next(r for r in training_dataset.processing
                       if r.algorithm == "pagerank")
-        short = predictor.predict_total_seconds("pagerank", record.properties,
-                                                4, record.metrics,
-                                                num_iterations=5)
-        long = predictor.predict_total_seconds("pagerank", record.properties,
-                                               4, record.metrics,
-                                               num_iterations=50)
+        short, long = self._at_iterations(predictor, record, [5, 50])
         assert long == pytest.approx(10 * short)
 
     def test_convergence_algorithm_ignores_iterations(self, predictor,
                                                       training_dataset):
         record = next(r for r in training_dataset.processing
                       if r.algorithm == "connected_components")
-        a = predictor.predict_total_seconds("connected_components",
-                                            record.properties, 4, record.metrics,
-                                            num_iterations=5)
-        b = predictor.predict_total_seconds("connected_components",
-                                            record.properties, 4, record.metrics,
-                                            num_iterations=50)
+        a, b = self._at_iterations(predictor, record, [5, 50])
         assert a == pytest.approx(b)
 
     def test_evaluation_scores(self, predictor, training_dataset):

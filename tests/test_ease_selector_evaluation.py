@@ -94,10 +94,10 @@ class TestSelector:
 
     def test_facade_prediction_helpers(self, trained_ease):
         graph = generate_rmat(200, 1500, seed=11)
-        quality = trained_ease.predict_quality(graph, "ne", 4)
-        assert quality.replication_factor >= 1.0
-        assert trained_ease.predict_partitioning_seconds(graph, "ne") > 0
-        assert trained_ease.predict_processing_seconds(graph, "ne", "pagerank", 4) > 0
+        ne = trained_ease.select_partitioner(graph, "pagerank", 4).score_of("ne")
+        assert ne.predicted_quality["replication_factor"] >= 1.0
+        assert ne.predicted_partitioning_seconds > 0
+        assert ne.predicted_processing_seconds > 0
 
     def test_untrained_facade_raises(self):
         with pytest.raises(RuntimeError):

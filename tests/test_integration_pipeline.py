@@ -118,8 +118,8 @@ class TestEndToEndWorkflow:
         for name in ("crvc", "ne"):
             partition = create_partitioner(name)(graph, 4)
             true_rf[name] = compute_quality_metrics(partition).replication_factor
-        predicted_crvc = trained_system.predict_quality(graph, "crvc", 4)
-        predicted_ne = trained_system.predict_quality(graph, "ne", 4)
+        selection = trained_system.select_partitioner(graph, "pagerank", 4)
+        predicted_rf = {name: selection.score_of(name).predicted_quality[
+            "replication_factor"] for name in ("crvc", "ne")}
         assert true_rf["ne"] < true_rf["crvc"]
-        assert (predicted_ne.replication_factor
-                < predicted_crvc.replication_factor)
+        assert predicted_rf["ne"] < predicted_rf["crvc"]

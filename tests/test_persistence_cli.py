@@ -47,12 +47,12 @@ class TestPersistence:
         save_ease(trained_system, path)
         loaded = load_ease(path)
         record = small_profile.quality[0]
-        original = trained_system.quality_predictor.predict(
-            record.properties, "ne", 2).as_dict()
-        restored = loaded.quality_predictor.predict(
-            record.properties, "ne", 2).as_dict()
+        original = trained_system.quality_predictor.predict_metric_columns(
+            [record.properties], ["ne"], [2])
+        restored = loaded.quality_predictor.predict_metric_columns(
+            [record.properties], ["ne"], [2])
         for key in original:
-            assert original[key] == pytest.approx(restored[key])
+            assert original[key][0] == pytest.approx(restored[key][0])
 
     def test_kind_mismatch_is_rejected(self, tmp_path, trained_system):
         path = str(tmp_path / "ease.pkl")

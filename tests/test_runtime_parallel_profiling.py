@@ -132,11 +132,12 @@ class TestParallelCachedParity:
         parallel = EASE.train_from_graphs(
             subset, subset, profiler=make_profiler(jobs=2))
         properties = compute_properties(subset[0], seed=SEED)
-        for name in PARTITIONERS:
-            lhs = sequential.predict_quality(properties, name, 2).as_dict()
-            rhs = parallel.predict_quality(properties, name, 2).as_dict()
-            for key in lhs:
-                assert lhs[key] == pytest.approx(rhs[key])
+        columns = ([properties] * len(PARTITIONERS), list(PARTITIONERS),
+                   [2] * len(PARTITIONERS))
+        lhs = sequential.quality_predictor.predict_metric_columns(*columns)
+        rhs = parallel.quality_predictor.predict_metric_columns(*columns)
+        for key in lhs:
+            assert lhs[key] == pytest.approx(rhs[key])
 
 
 class TestCheckpointResume:

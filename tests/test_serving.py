@@ -102,12 +102,14 @@ class TestBatchedPredictors:
         partitioners = [PARTITIONERS[i % len(PARTITIONERS)]
                         for i in range(len(properties))]
         counts = [2 + i for i in range(len(properties))]
-        batch = predictor.predict_batch(properties, partitioners, counts)
-        for props, partitioner, k, batched in zip(properties, partitioners,
-                                                  counts, batch):
-            single = predictor.predict(props, partitioner, k)
-            assert single.as_dict() == pytest.approx(batched.as_dict(),
-                                                     rel=1e-12)
+        batch = predictor.predict_metric_columns(properties, partitioners,
+                                                 counts)
+        for row, (props, partitioner, k) in enumerate(zip(
+                properties, partitioners, counts)):
+            single = predictor.predict_metric_columns([props], [partitioner],
+                                                      [k])
+            assert ({name: column[0] for name, column in single.items()}
+                    == {name: column[row] for name, column in batch.items()})
 
     def test_processing_batch_matches_singles(self, trained_system,
                                               query_graphs):
@@ -122,10 +124,10 @@ class TestBatchedPredictors:
             ["pagerank"] * len(properties), properties,
             [2] * len(properties), metrics, num_iterations=iterations)
         for row, props in enumerate(properties):
-            single = predictor.predict_total_seconds(
-                "pagerank", props, 2, metrics[row],
-                num_iterations=iterations[row])
-            assert batch[row] == pytest.approx(single, rel=1e-12)
+            single = predictor.predict_total_seconds_batch(
+                ["pagerank"], [props], [2], [metrics[row]],
+                num_iterations=[iterations[row]])
+            assert batch[row] == single[0]
 
     def test_selector_batch_matches_sequential(self, trained_system,
                                                query_graphs):
@@ -137,13 +139,12 @@ class TestBatchedPredictors:
             for i, g in enumerate(query_graphs)]
         batch_results = selector.select_batch(requests)
         for request, batched in zip(requests, batch_results):
-            single = selector.select(request.graph, request.algorithm,
-                                     request.num_partitions, goal=request.goal)
+            single = selector.select_batch([request])[0]
             assert batched.selected == single.selected
             for lhs, rhs in zip(batched.scores, single.scores):
                 assert lhs.partitioner == rhs.partitioner
-                assert lhs.predicted_end_to_end_seconds == pytest.approx(
-                    rhs.predicted_end_to_end_seconds, rel=1e-9)
+                assert (lhs.predicted_end_to_end_seconds
+                        == rhs.predicted_end_to_end_seconds)
 
     def test_select_batch_empty(self, trained_system):
         assert trained_system.selector.select_batch([]) == []
@@ -762,16 +763,16 @@ class TestBatchSubmission:
     def test_cold_batch_is_one_property_engine_pass(self, trained_system,
                                                     query_graphs,
                                                     monkeypatch):
-        import repro.serving.service as service_module
+        import repro.ease.selector as selector_module
 
         calls = []
-        real = service_module.compute_properties_batch
+        real = selector_module.compute_properties_batch
 
         def counting(graphs, **kwargs):
             calls.append(len(graphs))
             return real(graphs, **kwargs)
 
-        monkeypatch.setattr(service_module, "compute_properties_batch",
+        monkeypatch.setattr(selector_module, "compute_properties_batch",
                             counting)
         service = SelectionService(trained_system)
         service.select_many([
