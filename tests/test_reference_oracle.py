@@ -50,7 +50,10 @@ buffer) rather than closeness:
   for result.
 * the strategy evaluator — ``SelectionStrategyEvaluator.compare`` for both
   goals against the same comparison recomputed with one
-  ``select_batch([request])`` per job.
+  ``select_batch([request])`` per job;
+* the graph store — every oracle graph saved to a store and reopened
+  memory-mapped against the in-RAM graph: fingerprint, sampled and exact
+  properties, and every registry partitioner's assignment at k = 8.
 
 A future implementation tier is admitted by adding its row here.
 """
@@ -87,7 +90,12 @@ from repro.ease import (
 )
 from repro.ease.quality_predictor import default_quality_model
 from repro.generators import generate_realworld_graph, generate_rmat
-from repro.graph import Graph
+from repro.graph import (
+    Graph,
+    GraphStore,
+    compute_properties,
+    graph_fingerprint,
+)
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
@@ -793,3 +801,62 @@ def test_evaluator_picks_like_per_job_selection():
            for comparison in evaluator.compare(dataset, goals=goals)]
     assert got == [row for goal in goals
                    for row in _sps_per_job(evaluator, dataset, goal)]
+
+
+# --------------------------------------------------------------------------- #
+# Store-mapped graphs vs. the in-RAM graphs they were saved from
+# --------------------------------------------------------------------------- #
+MAPPED_K = 8
+
+
+def _fingerprints(in_ram, mapped):
+    return graph_fingerprint(in_ram), graph_fingerprint(mapped)
+
+
+def _sampled_properties(in_ram, mapped):
+    return tuple(compute_properties(graph, exact_triangles=False, seed=7)
+                 for graph in (in_ram, mapped))
+
+
+def _exact_properties(in_ram, mapped):
+    return tuple(compute_properties(graph, exact_triangles=True)
+                 for graph in (in_ram, mapped))
+
+
+def _assignments(in_ram, mapped):
+    return tuple(
+        {name: create_partitioner(name)(graph, MAPPED_K).assignment.tobytes()
+         for name in ALL_PARTITIONER_NAMES}
+        for graph in (in_ram, mapped))
+
+
+#: check -> (in-RAM graph, store-mapped graph) -> (in-RAM answer, mapped one).
+MAPPED_CHECKS = {
+    "fingerprint": _fingerprints,
+    "properties_sampled": _sampled_properties,
+    "properties_exact": _exact_properties,
+    "partitioners": _assignments,
+}
+
+
+@pytest.fixture(scope="module")
+def mapped_store(tmp_path_factory):
+    store = GraphStore(str(tmp_path_factory.mktemp("mapped-store")))
+    return store, {name: store.save(_GRAPH_BUILDERS[name]())
+                   for name in GRAPH_NAMES}
+
+
+@pytest.mark.parametrize("check", tuple(MAPPED_CHECKS))
+@pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+def test_store_mapped_graph_matches_in_ram(mapped_store, graph_name, check):
+    """A graph saved to a store and reopened memory-mapped answers what the
+    in-RAM graph answers: the content fingerprint, the sampled and exact
+    properties, and every registry partitioner's assignment at k = 8, byte
+    for byte.  Each side is a fresh graph, so neither reuses a view or a
+    hash the other one computed."""
+    store, fingerprints = mapped_store
+    mapped = store.open(fingerprints[graph_name])
+    assert mapped.is_mapped
+    in_ram, opened = MAPPED_CHECKS[check](_GRAPH_BUILDERS[graph_name](),
+                                          mapped)
+    assert in_ram == opened
