@@ -4,17 +4,17 @@ Four subcommands mirror the phases of the paper's pipeline (Figure 5):
 
 ``generate``
     Generate a training corpus of R-MAT graphs (Table I / Table II grids,
-    scaled) and store it as ``.npz`` graph files in a directory.
+    scaled) and save it into a graph store (see ``graph`` below).
 ``profile``
-    Profile a directory of graphs: partition with every candidate partitioner,
-    measure quality metrics and partitioning time, run the processing
-    workloads, and store the resulting dataset.
+    Profile the graphs of a store: partition with every candidate
+    partitioner, measure quality metrics and partitioning time, run the
+    processing workloads, and store the resulting dataset.
 ``train``
     Train the EASE predictors from a profiling dataset and store the trained
     system.
 ``select``
-    Load a trained system and select a partitioner for a graph (edge-list or
-    ``.npz``) and workload.
+    Load a trained system and select a partitioner for a graph (a stored
+    graph's directory or an edge-list file) and workload.
 
 Two support the profiling runtime:
 
@@ -23,23 +23,24 @@ Two support the profiling runtime:
     them, ack results (the remote half of ``profile --backend worker``).
 ``cache gc``
     Shrink a content-addressed artifact cache to a size bound (LRU order)
-    and report the reclaimed bytes; ``--graph-store`` adds a storage
-    report of a graph store alongside.
+    and report the reclaimed bytes.
 
 One manages the memory-mapped graph store (``docs/ARCHITECTURE.md``):
 
 ``graph``
-    ``graph import`` ingests edge-list / ``.npz`` graphs into an on-disk
-    content-addressed store of raw edges + precomputed CSR views;
-    ``graph ls`` lists the stored graphs.  ``profile``, ``properties``
-    and ``serve`` accept ``--graph-store`` to resolve graphs from such a
-    store as zero-copy memory maps (workers share the OS page cache
-    instead of receiving pickled copies).
+    ``graph import`` ingests edge-list files into an on-disk
+    content-addressed store of raw edges + the precomputed simple
+    undirected CSR view; ``graph ls`` lists the stored graphs and the
+    store's disk usage.  The store is the one persisted graph format:
+    ``profile`` and ``properties`` read their graphs from ``--graph-store``
+    and ``serve`` resolves ``graph_fingerprint`` requests from it, each as
+    zero-copy memory maps (workers share the OS page cache instead of
+    receiving pickled copies).
 
 One exposes the property engine:
 
 ``properties``
-    Extract the :class:`GraphProperties` of a directory of graphs in one
+    Extract the :class:`GraphProperties` of a store's graphs in one
     batched property-engine pass and write one ``<name>.properties.json``
     per graph — the precomputed-properties payload accepted by ``select
     --properties`` and the HTTP ``/v1/select`` endpoint.  With
@@ -69,7 +70,8 @@ Two expose the observability layer (``docs/OBSERVABILITY.md``):
 Example session::
 
     python -m repro.cli generate --output graphs/ --max-graphs 40
-    python -m repro.cli profile --graphs graphs/ --output profile.pkl \
+    python -m repro.cli graph ls --store graphs/
+    python -m repro.cli profile --graph-store graphs/ --output profile.pkl \
         --jobs 4 --cache-dir profile-cache/ --backend process
     python -m repro.cli cache gc --cache-dir profile-cache/ \
         --max-bytes 500000000
@@ -88,7 +90,13 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .graph import Graph, load_npz, read_edge_list, save_npz
+from .graph import (
+    Graph,
+    GraphStore,
+    GraphStoreError,
+    open_stored_graph,
+    read_edge_list,
+)
 from .generators import generate_training_corpus, rmat_small_grid
 from .partitioning import ALL_PARTITIONER_NAMES
 from .processing import ALL_ALGORITHM_NAMES
@@ -108,40 +116,22 @@ __all__ = ["main", "build_parser"]
 # Helpers
 # --------------------------------------------------------------------------- #
 def _load_graph(path: str) -> Graph:
-    if path.endswith(".npz"):
-        return load_npz(path)
-    return read_edge_list(path)
+    """A stored graph's directory (memory-mapped) or an edge-list file."""
+    if not os.path.isdir(path):
+        return read_edge_list(path)
+    try:
+        return open_stored_graph(path)
+    except GraphStoreError as error:
+        raise SystemExit(str(error))
 
 
-def _load_graph_directory(directory: str) -> List[Graph]:
-    graphs = []
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if name.endswith(".npz") or name.endswith(".txt"):
-            graphs.append(_load_graph(path))
+def _store_graphs(directory: str) -> List[Graph]:
+    """Every graph of the store at ``directory``, memory-mapped."""
+    if not os.path.isdir(directory):
+        raise SystemExit(f"graph store {directory!r} does not exist")
+    graphs = GraphStore(directory).open_all()
     if not graphs:
-        raise SystemExit(f"no .npz or .txt graphs found in {directory!r}")
-    return graphs
-
-
-def _gather_graphs(args: argparse.Namespace) -> List[Graph]:
-    """Graphs from --graph-store (memory-mapped) and/or --graphs (loaded)."""
-    store_dir = getattr(args, "graph_store", None)
-    graphs_dir = getattr(args, "graphs", None)
-    if not store_dir and not graphs_dir:
-        raise SystemExit("at least one of --graphs and --graph-store is "
-                         "required")
-    graphs: List[Graph] = []
-    if store_dir:
-        from .graph import GraphStore
-
-        if not os.path.isdir(store_dir):
-            raise SystemExit(f"graph store {store_dir!r} does not exist")
-        graphs.extend(GraphStore(store_dir).open_all())
-        if not graphs and not graphs_dir:
-            raise SystemExit(f"graph store {store_dir!r} holds no graphs")
-    if graphs_dir:
-        graphs.extend(_load_graph_directory(graphs_dir))
+        raise SystemExit(f"graph store {directory!r} holds no graphs")
     return graphs
 
 
@@ -153,12 +143,13 @@ def _command_generate(args: argparse.Namespace) -> int:
     if args.step > 1:
         specs = specs[::args.step]
     os.makedirs(args.output, exist_ok=True)
+    store = GraphStore(args.output)
     count = 0
     for graph in generate_training_corpus(specs, seed=args.seed,
                                           max_graphs=args.max_graphs):
-        save_npz(graph, os.path.join(args.output, f"{graph.name}.npz"))
+        store.save(graph)
         count += 1
-    print(f"generated {count} training graphs in {args.output}")
+    print(f"generated {count} training graphs in graph store {args.output}")
     return 0
 
 
@@ -198,7 +189,7 @@ def _command_profile(args: argparse.Namespace) -> int:
         from .obs import configure_tracing
 
         configure_tracing(args.trace_dir)
-    graphs = _gather_graphs(args)
+    graphs = _store_graphs(args.graph_store)
     existing = None
     if args.extend:
         if not os.path.exists(args.extend):
@@ -316,21 +307,11 @@ def _command_cache_gc(args: argparse.Namespace) -> int:
           f"({report['removed_files']} artifacts); "
           f"{report['remaining_bytes']} bytes in "
           f"{report['remaining_files']} artifacts remain")
-    if args.graph_store:
-        from .graph import GraphStore
-
-        if not os.path.isdir(args.graph_store):
-            raise SystemExit(
-                f"graph store {args.graph_store!r} does not exist")
-        usage = GraphStore(args.graph_store).disk_usage()
-        print(f"graph store {args.graph_store}: {usage['bytes']} bytes in "
-              f"{usage['files']} files across {usage['graphs']} graphs "
-              f"(not collected; remove graph directories to reclaim)")
     return 0
 
 
 def _command_graph_import(args: argparse.Namespace) -> int:
-    from .graph import GraphStore, graph_fingerprint
+    from .graph import graph_fingerprint
 
     store = GraphStore(args.store)
     imported = skipped = 0
@@ -354,8 +335,6 @@ def _command_graph_import(args: argparse.Namespace) -> int:
 
 
 def _command_graph_ls(args: argparse.Namespace) -> int:
-    from .graph import GraphStore
-
     if not os.path.isdir(args.store):
         raise SystemExit(f"graph store {args.store!r} does not exist")
     store = GraphStore(args.store)
@@ -380,7 +359,7 @@ def _command_properties(args: argparse.Namespace) -> int:
 
     from .graph import compute_properties_batch
 
-    graphs = _gather_graphs(args)
+    graphs = _store_graphs(args.graph_store)
     store = None
     if args.cache_dir:
         from .runtime import ArtifactStore
@@ -683,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate = subparsers.add_parser(
         "generate", help="generate an R-MAT training corpus")
     generate.add_argument("--output", required=True,
-                          help="directory for the generated .npz graphs")
+                          help="graph store directory the generated graphs "
+                               "are saved into (created if missing)")
     generate.add_argument("--scale", type=float, default=1.0 / 50_000,
                           help="scale factor applied to the Table I grid")
     generate.add_argument("--step", type=int, default=8,
@@ -695,11 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile", help="profile graphs with all partitioners and workloads")
-    profile.add_argument("--graphs", default=None,
-                         help="directory of .npz / edge-list graphs")
-    profile.add_argument("--graph-store", default=None, metavar="DIR",
-                         help="memory-mapped graph store (see 'graph "
-                              "import'); its graphs join --graphs, opened "
+    profile.add_argument("--graph-store", required=True, metavar="DIR",
+                         help="graph store whose graphs are profiled (see "
+                              "'generate' and 'graph import'), opened "
                               "zero-copy so parallel workers share pages "
                               "instead of receiving pickled copies")
     profile.add_argument("--output", required=True,
@@ -795,10 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_gc.add_argument("--max-bytes", type=int, required=True,
                           help="target size in bytes (0 clears the cache "
                                "entirely)")
-    cache_gc.add_argument("--graph-store", default=None, metavar="DIR",
-                          help="also report the disk usage of this graph "
-                               "store (stores are content-addressed and "
-                               "never collected automatically)")
     cache_gc.set_defaults(handler=_command_cache_gc)
 
     graph = subparsers.add_parser(
@@ -806,9 +780,10 @@ def build_parser() -> argparse.ArgumentParser:
     graph_commands = graph.add_subparsers(dest="graph_command", required=True)
     graph_import = graph_commands.add_parser(
         "import", help="ingest graphs into a content-addressed store of "
-                       "raw edges + precomputed CSR views")
+                       "raw edges + the precomputed undirected CSR view")
     graph_import.add_argument("inputs", nargs="+", metavar="GRAPH",
-                              help=".npz or whitespace edge-list graph files")
+                              help="whitespace edge-list files (or stored "
+                                   "graph directories)")
     graph_import.add_argument("--store", required=True,
                               help="store directory (created if missing)")
     graph_import.set_defaults(handler=_command_graph_import)
@@ -821,11 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
     properties = subparsers.add_parser(
         "properties", help="extract graph properties in one batched "
                            "property-engine pass")
-    properties.add_argument("--graphs", default=None,
-                            help="directory of .npz / edge-list graphs")
-    properties.add_argument("--graph-store", default=None, metavar="DIR",
-                            help="memory-mapped graph store whose graphs "
-                                 "join --graphs (opened zero-copy)")
+    properties.add_argument("--graph-store", required=True, metavar="DIR",
+                            help="graph store whose graphs are extracted "
+                                 "(opened zero-copy)")
     properties.add_argument("--output", required=True,
                             help="directory for the <name>.properties.json "
                                  "files (created if missing)")
@@ -865,7 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
         "select", help="select a partitioner for a graph and workload")
     _add_model_source_arguments(select, model_required=False)
     select.add_argument("--graph", default=None,
-                        help="graph file (.npz or whitespace edge list)")
+                        help="stored graph directory (<store>/"
+                             "<fingerprint>, as 'graph ls' lists them) or "
+                             "whitespace edge-list file")
     select.add_argument("--properties", default=None, metavar="JSON",
                         help="precomputed GraphProperties JSON (as_dict "
                              "output); skips graph loading and property "

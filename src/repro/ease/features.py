@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..graph import Graph, GraphProperties, compute_properties_batch
+from ..graph import GraphProperties
 from ..partitioning import QUALITY_METRIC_NAMES
 from ..ml import OneHotEncoder, Regressor, StandardScaler
 
@@ -29,7 +29,6 @@ __all__ = [
     "graph_feature_names",
     "graph_feature_vector",
     "graph_feature_matrix",
-    "graph_feature_matrix_from_graphs",
     "QualityFeatureBuilder",
     "PartitioningTimeFeatureBuilder",
     "ProcessingTimeFeatureBuilder",
@@ -89,26 +88,6 @@ def graph_feature_matrix(properties: Sequence[GraphProperties],
     if not unique_rows:
         return np.empty((0, len(names)), dtype=np.float64)
     return np.asarray(unique_rows, dtype=np.float64)[index]
-
-
-def graph_feature_matrix_from_graphs(graphs: Sequence[Graph],
-                                     feature_set: str = "basic",
-                                     exact_triangles: bool = False,
-                                     seed: int = 0,
-                                     store=None) -> np.ndarray:
-    """Graph-property feature matrix straight from raw graphs.
-
-    Cold-start helper for corpus-level callers (serving warm-up, evaluation
-    sweeps): property extraction happens as one
-    :func:`repro.graph.compute_properties_batch` call — content duplicates
-    collapse to a single computation, each distinct graph runs one
-    vectorized engine pass, and an optional artifact ``store`` skips graphs
-    whose properties were already extracted by an earlier profiling run.
-    """
-    properties = compute_properties_batch(graphs,
-                                          exact_triangles=exact_triangles,
-                                          seed=seed, store=store)
-    return graph_feature_matrix(properties, feature_set)
 
 
 class TargetModel:

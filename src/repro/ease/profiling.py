@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from ..graph import (
-    Graph,
-    GraphProperties,
-    compute_properties_batch,
-)
+from ..graph import Graph
 from ..partitioning import ALL_PARTITIONER_NAMES
 from ..processing import ALL_ALGORITHM_NAMES, ClusterSpec
 from ..runtime.executor import (
@@ -130,33 +126,6 @@ class GraphProfiler:
         #: Accounting of the most recent profiling run (job counts, cache
         #: hit rate, partitions computed); ``None`` before the first run.
         self.last_run_stats: Optional[ProfileRunStats] = None
-
-    # ------------------------------------------------------------------ #
-    def _property_store(self):
-        """Artifact store over ``cache_dir`` (``None`` without one).
-
-        Property artifacts share their key with the runtime's
-        ``PropertiesTask``, so properties extracted here are found by later
-        profiling runs and vice versa.
-        """
-        if self.cache_dir is None:
-            return None
-        from ..runtime.artifacts import ArtifactStore
-
-        return ArtifactStore(self.cache_dir)
-
-    def graph_properties_batch(self, graphs: Sequence[Graph]
-                               ) -> List[GraphProperties]:
-        """Properties of a corpus in one batched property-engine pass.
-
-        Content duplicates are computed once, and with a configured
-        ``cache_dir`` graphs already profiled (``--extend`` runs,
-        re-profiles) restore from the artifact cache instead of recomputing.
-        """
-        return compute_properties_batch(graphs,
-                                        exact_triangles=self.exact_triangles,
-                                        seed=self.seed,
-                                        store=self._property_store())
 
     # ------------------------------------------------------------------ #
     def build_plan(self, quality_graphs: Iterable[Graph],

@@ -23,7 +23,7 @@ from .sketches import (
     approximate_triangle_stats,
     hoeffding_half_width,
 )
-from .io import read_edge_list, write_edge_list, save_npz, load_npz
+from .io import read_edge_list, write_edge_list
 from .store import (
     GraphStore,
     GraphStoreError,
@@ -53,8 +53,6 @@ __all__ = [
     "hoeffding_half_width",
     "read_edge_list",
     "write_edge_list",
-    "save_npz",
-    "load_npz",
     "GraphStore",
     "GraphStoreError",
     "StoredGraphInfo",

@@ -4,8 +4,8 @@ The graph model mirrors the edge-partitioning setting of the EASE paper
 (Section II): a directed graph ``G = (V, E)`` whose edges are the unit of
 partitioning.  Edges are stored as two parallel ``int64`` arrays (sources and
 destinations), which makes the graph cheap to stream (stateless partitioners),
-cheap to shuffle, and cheap to convert into CSR adjacency for in-memory
-partitioners and the processing engine.
+cheap to shuffle, and cheap to convert into the undirected CSR views of the
+in-memory partitioners and the property engine.
 """
 
 from __future__ import annotations
@@ -28,19 +28,22 @@ def graph_fingerprint(graph: "Graph") -> str:
     memoize by content without depending on the runtime; re-exported by
     :mod:`repro.runtime.jobs`, and the root of every task id in
     :mod:`repro.runtime.tasks`.
+
+    A graph is hashed once: the result fills the graph's fingerprint slot,
+    and store-opened graphs arrive with the slot filled from ``meta.json``,
+    so they are never hashed and never page in their mapped arrays.
     """
-    stored = getattr(graph, "_stored_fingerprint", None)
-    if stored is not None:
-        # Store-backed graphs carry the fingerprint computed at save time,
-        # so fingerprinting is O(1) and never pages in the mapped arrays.
-        return stored
-    digest = hashlib.sha256()
-    digest.update(b"graph-v1:")
-    digest.update(str(graph.num_vertices).encode("ascii"))
-    digest.update(b":")
-    digest.update(np.ascontiguousarray(graph.src, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(graph.dst, dtype=np.int64).tobytes())
-    return digest.hexdigest()[:20]
+    if graph._fingerprint is None:
+        digest = hashlib.sha256()
+        digest.update(b"graph-v1:")
+        digest.update(str(graph.num_vertices).encode("ascii"))
+        digest.update(b":")
+        digest.update(
+            np.ascontiguousarray(graph.src, dtype=np.int64).tobytes())
+        digest.update(
+            np.ascontiguousarray(graph.dst, dtype=np.int64).tobytes())
+        graph._fingerprint = digest.hexdigest()[:20]
+    return graph._fingerprint
 
 
 @dataclass
@@ -124,9 +127,8 @@ class Graph:
         #: Directory of the on-disk store entry backing this graph's arrays
         #: (``None`` for in-RAM graphs; see :mod:`repro.graph.store`).
         self.store_path: Optional[str] = None
-        self._stored_fingerprint: Optional[str] = None
-        self._out_adj: Optional[CSRAdjacency] = None
-        self._in_adj: Optional[CSRAdjacency] = None
+        #: Content fingerprint, filled by the first :func:`graph_fingerprint`.
+        self._fingerprint: Optional[str] = None
         self._undirected_adj: Optional[CSRAdjacency] = None
         self._undirected_simple_adj: Optional[CSRAdjacency] = None
 
@@ -150,9 +152,7 @@ class Graph:
         graph.name = name
         graph.graph_type = graph_type
         graph.store_path = store_path
-        graph._stored_fingerprint = fingerprint
-        graph._out_adj = None
-        graph._in_adj = None
+        graph._fingerprint = fingerprint
         graph._undirected_adj = None
         graph._undirected_simple_adj = None
         return graph
@@ -162,11 +162,6 @@ class Graph:
         """True when the edge arrays are ``np.memmap`` views of a store
         entry (read-only, page-shared across processes)."""
         return self.store_path is not None
-
-    @property
-    def stored_fingerprint(self) -> Optional[str]:
-        """Content fingerprint recorded at store-save time (else ``None``)."""
-        return self._stored_fingerprint
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -210,29 +205,6 @@ class Graph:
     # ------------------------------------------------------------------ #
     # Adjacency views (built lazily, cached)
     # ------------------------------------------------------------------ #
-    def out_adjacency(self) -> CSRAdjacency:
-        """CSR adjacency of outgoing edges (``src`` -> ``dst``)."""
-        if self._out_adj is None:
-            self._out_adj = _build_csr(self.src, self.dst, self.num_vertices)
-        return self._out_adj
-
-    def in_adjacency(self) -> CSRAdjacency:
-        """CSR adjacency of incoming edges (``dst`` -> ``src``)."""
-        if self._in_adj is None:
-            self._in_adj = _build_csr(self.dst, self.src, self.num_vertices)
-        return self._in_adj
-
-    def csr(self) -> CSRAdjacency:
-        """Alias of :meth:`out_adjacency`.  For store-backed graphs the view
-        is attached from the mapped ``out_*.bin`` files at open time instead
-        of being rebuilt."""
-        return self.out_adjacency()
-
-    def csr_in(self) -> CSRAdjacency:
-        """Alias of :meth:`in_adjacency` (mapped from ``in_*.bin`` when
-        store-backed)."""
-        return self.in_adjacency()
-
     def undirected_adjacency(self) -> CSRAdjacency:
         """CSR adjacency treating every edge as undirected.
 

@@ -2,8 +2,10 @@
 
 Graphs are exchanged as plain whitespace-separated edge lists (one
 ``source destination`` pair per line), the same wire format used by the graph
-repositories referenced in the paper (SNAP, KONECT, NetworkRepository), plus a
-compact ``.npz`` format for fast round-trips inside the profiling pipeline.
+repositories referenced in the paper (SNAP, KONECT, NetworkRepository).
+Inside the pipeline graphs persist only as entries of the memory-mapped
+graph store (:mod:`repro.graph.store`); an edge list is how a graph enters
+or leaves it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["read_edge_list", "write_edge_list", "save_npz", "load_npz"]
+__all__ = ["read_edge_list", "write_edge_list"]
 
 
 def read_edge_list(path: str, comments: str = "#", name: Optional[str] = None,
@@ -51,18 +53,3 @@ def write_edge_list(graph: Graph, path: str) -> None:
         for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
             handle.write(f"{u} {v}\n")
 
-
-def save_npz(graph: Graph, path: str) -> None:
-    """Save a graph in compressed ``.npz`` form."""
-    np.savez_compressed(path, src=graph.src, dst=graph.dst,
-                        num_vertices=np.int64(graph.num_vertices),
-                        name=np.str_(graph.name),
-                        graph_type=np.str_(graph.graph_type))
-
-
-def load_npz(path: str) -> Graph:
-    """Load a graph previously stored with :func:`save_npz`."""
-    with np.load(path, allow_pickle=False) as data:
-        return Graph(data["src"], data["dst"],
-                     num_vertices=int(data["num_vertices"]),
-                     name=str(data["name"]), graph_type=str(data["graph_type"]))

@@ -1,4 +1,4 @@
-"""On-disk memory-mapped zero-copy graph store.
+"""On-disk memory-mapped zero-copy graph store: the one persisted graph format.
 
 The profiling pipeline is corpus-shaped: the same graphs are partitioned,
 measured and processed over and over, by several worker processes at once,
@@ -18,25 +18,27 @@ loaded:
 * **Page-shared workers** — every process mapping the same store directory
   shares the OS page cache; N workers hold one physical copy of the corpus
   instead of N private unpickled ones.
-* **Precomputed adjacency** — the out-, in- and simple-undirected CSR views
-  are built once at :meth:`GraphStore.save` time and attached from the
-  mapped files on open, so no consumer ever rebuilds them.
+* **Precomputed adjacency** — the simple undirected CSR view, which the
+  property engine reads, is built once at :meth:`GraphStore.save` time and
+  attached from the mapped files on open, so no consumer rebuilds it.
+  Nothing else is stored: an entry holds only what its readers map.
 * **O(1) fingerprinting** — the content fingerprint is computed at save time
-  and stored in ``meta.json``; :func:`~repro.graph.graph.graph_fingerprint`
-  returns it without hashing the edge arrays.
+  and stored in ``meta.json``; an opened graph arrives with it, so
+  :func:`~repro.graph.graph.graph_fingerprint` never hashes the edge arrays.
 
-Directory layout (format version 1)::
+Directory layout (format version 2)::
 
     <root>/<fingerprint>/
         meta.json            format_version, fingerprint, num_vertices,
-                             num_edges, dtype, name, graph_type, file sizes
+                             num_edges, und_entries, dtype, name, graph_type
         src.bin, dst.bin     raw int64 edge arrays
-        out_indptr.bin, out_indices.bin, out_edge_ids.bin   out-CSR
-        in_indptr.bin,  in_indices.bin,  in_edge_ids.bin    in-CSR
-        und_indptr.bin, und_indices.bin                     simple undirected
-                                                            CSR (sorted,
-                                                            deduplicated,
-                                                            loop-free)
+        und_indptr.bin, und_indices.bin     simple undirected CSR (sorted,
+                                            deduplicated, loop-free)
+
+``repro generate`` and ``repro graph import`` write entries;
+``repro profile``, ``repro properties`` and ``repro serve`` read them.  A
+format-1 entry (which also held out- and in-CSR arrays) is refused by the
+version check; re-import its graphs into a fresh store.
 
 All arrays are little-endian ``int64``; every ``.bin`` file size is
 validated against ``meta.json`` before mapping, so a truncated or corrupted
@@ -66,19 +68,13 @@ __all__ = [
     "open_stored_graph",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 META_FILE = "meta.json"
 
 #: Logical array name -> file name inside one graph directory.
 _ARRAY_FILES = {
     "src": "src.bin",
     "dst": "dst.bin",
-    "out_indptr": "out_indptr.bin",
-    "out_indices": "out_indices.bin",
-    "out_edge_ids": "out_edge_ids.bin",
-    "in_indptr": "in_indptr.bin",
-    "in_indices": "in_indices.bin",
-    "in_edge_ids": "in_edge_ids.bin",
     "und_indptr": "und_indptr.bin",
     "und_indices": "und_indices.bin",
 }
@@ -180,9 +176,9 @@ def open_stored_graph(directory: str, name: Optional[str] = None,
                       graph_type: Optional[str] = None) -> Graph:
     """Open one stored graph directory as a memory-mapped :class:`Graph`.
 
-    O(1): only ``meta.json`` is read; the edge arrays and the three
-    precomputed CSR views are attached as read-only ``np.memmap`` arrays
-    whose pages fault in on first touch.  ``name`` / ``graph_type``
+    O(1): only ``meta.json`` is read; the edge arrays and the precomputed
+    simple undirected CSR view are attached as read-only ``np.memmap``
+    arrays whose pages fault in on first touch.  ``name`` / ``graph_type``
     override the stored labels (corpus entries may share content under
     different names); content identity is unaffected.
     """
@@ -202,14 +198,6 @@ def open_stored_graph(directory: str, name: Optional[str] = None,
         name=meta["name"] if name is None else name,
         graph_type=meta["graph_type"] if graph_type is None else graph_type,
         store_path=directory, fingerprint=meta["fingerprint"])
-    graph._out_adj = CSRAdjacency(
-        indptr=mapped("out_indptr", num_vertices + 1),
-        indices=mapped("out_indices", num_edges),
-        edge_ids=mapped("out_edge_ids", num_edges))
-    graph._in_adj = CSRAdjacency(
-        indptr=mapped("in_indptr", num_vertices + 1),
-        indices=mapped("in_indices", num_edges),
-        edge_ids=mapped("in_edge_ids", num_edges))
     und_indptr = mapped("und_indptr", num_vertices + 1)
     if und_indptr.size and int(und_indptr[-1]) != und_entries:
         raise GraphStoreError(
@@ -248,12 +236,13 @@ class GraphStore:
 
     # ------------------------------------------------------------------ #
     def save(self, graph: Graph) -> str:
-        """Persist ``graph`` (edges + precomputed CSR views); returns its
-        content fingerprint.
+        """Persist ``graph`` (edges + the simple undirected CSR view);
+        returns its content fingerprint.
 
-        Re-saving already-stored content is a no-op.  The CSR views are
-        computed here — once, at ingest — and reuse the graph's cached
-        adjacency when the caller already built it.
+        Re-saving already-stored content is a no-op, whatever format the
+        existing entry has.  The CSR view is computed here — once, at
+        ingest — and reuses the graph's cached view when the caller already
+        built it.
         """
         fingerprint = graph_fingerprint(graph)
         target = self.path_for(fingerprint)
@@ -279,15 +268,9 @@ class GraphStore:
 
     @staticmethod
     def _write_entry(directory: str, graph: Graph, fingerprint: str) -> None:
-        out_adj = graph.out_adjacency()
-        in_adj = graph.in_adjacency()
         und_adj = graph.undirected_simple_csr()
         arrays = {
             "src": graph.src, "dst": graph.dst,
-            "out_indptr": out_adj.indptr, "out_indices": out_adj.indices,
-            "out_edge_ids": out_adj.edge_ids,
-            "in_indptr": in_adj.indptr, "in_indices": in_adj.indices,
-            "in_edge_ids": in_adj.edge_ids,
             "und_indptr": und_adj.indptr, "und_indices": und_adj.indices,
         }
         for key, array in arrays.items():
@@ -365,7 +348,7 @@ class GraphStore:
         return infos
 
     def disk_usage(self) -> Dict[str, int]:
-        """Graphs, files and bytes held by this store (for ``cache gc``)."""
+        """Graphs, files and bytes held by this store (for ``graph ls``)."""
         graphs = files = total = 0
         for directory in self._entry_dirs():
             graphs += 1

@@ -198,24 +198,24 @@ _SHIP_ARRAYS = "arrays"
 def _graph_to_arrays(graph: Graph) -> Tuple:
     """Serialisable description of a graph for shipment to a worker.
 
-    Store-backed graphs (``graph.is_mapped``) ship as a tiny
-    ``(store path, fingerprint)`` reference: the worker re-opens the memory
-    map and shares the parent's OS page cache, so IPC per graph is O(1)
-    instead of O(m) and its precomputed CSR views arrive for free.  The
+    Store-backed graphs (``graph.is_mapped``) ship as a tiny store-path
+    reference: the worker re-opens the memory map and shares the parent's
+    OS page cache, so IPC per graph is O(1) instead of O(m), and the
+    fingerprint and simple undirected CSR view recorded at save time
+    arrive with the re-opened entry.  The
     directory must be reachable at the same path in the worker — always
     true for the local process pool, and the same shared-filesystem
     contract the worker-queue directory already requires.
 
     In-RAM graphs fall back to shipping the raw edge arrays.  Cached
     adjacency views are deliberately *not* shipped on this path: pickling
-    them would multiply the IPC volume by ~4x (out + in + undirected CSR on
-    top of the edges) for structures the worker rebuilds in one vectorized
-    argsort per view — so a fallback worker recomputes ``csr()`` /
-    ``csr_in()`` / ``undirected_simple_csr()`` lazily, on first use.
+    them would multiply the IPC volume for structures the worker rebuilds
+    in one vectorized pass per view — so a fallback worker recomputes
+    ``undirected_adjacency()`` / ``undirected_simple_csr()`` lazily, on
+    first use.
     """
     if graph.is_mapped:
-        return (_SHIP_STORE, graph.store_path, graph.stored_fingerprint,
-                graph.name, graph.graph_type)
+        return (_SHIP_STORE, graph.store_path, graph.name, graph.graph_type)
     return (_SHIP_ARRAYS, graph.src, graph.dst, graph.num_vertices,
             graph.name, graph.graph_type)
 
@@ -225,8 +225,8 @@ def _graph_from_arrays(arrays: Tuple) -> Graph:
     if arrays[0] == _SHIP_STORE:
         from ..graph.store import open_stored_graph
 
-        _, store_path, _fingerprint, name, graph_type = arrays
-        # Re-opening attaches the precomputed mapped CSR views, so nothing
+        _, store_path, name, graph_type = arrays
+        # Re-opening attaches the precomputed mapped CSR view, so nothing
         # the parent already computed is recomputed here.
         return open_stored_graph(store_path, name=name, graph_type=graph_type)
     _, src, dst, num_vertices, name, graph_type = arrays

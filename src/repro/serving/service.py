@@ -327,7 +327,6 @@ class ServiceStats:
     _COUNTER_HELP = {
         "requests": "Requests answered",
         "batches": "Micro-batches executed",
-        "batched_requests": "Requests that went through a micro-batch",
         "property_cache_hits": "Property-cache hits",
         "property_cache_misses": "Property-cache misses",
     }
@@ -362,11 +361,10 @@ class ServiceStats:
         return int(self._max_batch.value)
 
     def mean_batch_size(self) -> float:
-        return self.batched_requests / self.batches if self.batches else 0.0
+        return self.requests / self.batches if self.batches else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {"requests": self.requests, "batches": self.batches,
-                "batched_requests": self.batched_requests,
                 "max_batch_size": self.max_batch_size,
                 "mean_batch_size": self.mean_batch_size(),
                 "property_cache_hits": self.property_cache_hits,
@@ -787,7 +785,6 @@ class SelectionService:
     def _execute(self, batch: List[_Pending]) -> None:
         self.stats.inc("requests", len(batch))
         self.stats.inc("batches")
-        self.stats.inc("batched_requests", len(batch))
         self.stats.observe_batch(len(batch))
         self._batch_size_hist.observe(len(batch))
         dequeued = time.monotonic()

@@ -409,14 +409,13 @@ class TestRetryAndQuarantine:
 
     def test_profile_cli_reports_quarantine_and_exits_3(self, tmp_path,
                                                         capsys):
-        from repro.graph.io import save_npz
+        from repro.graph import GraphStore
         from repro.cli import main
 
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
-        save_npz(generate_rmat(96, 500, seed=0), str(graphs_dir / "g0.npz"))
+        store = GraphStore(str(tmp_path / "graphs"))
+        store.save(generate_rmat(96, 500, seed=0))
         install_plan(FaultPlan.parse("worker.execute:error:*:quality"))
-        code = main(["profile", "--graphs", str(graphs_dir),
+        code = main(["profile", "--graph-store", store.root,
                      "--output", str(tmp_path / "p.pkl"),
                      "--partitioners", "2d",
                      "--algorithms", "pagerank",

@@ -1,9 +1,9 @@
-"""Tests for edge-list and npz graph I/O."""
+"""Tests for edge-list graph I/O."""
 
 import numpy as np
 import pytest
 
-from repro.graph import Graph, read_edge_list, write_edge_list, save_npz, load_npz
+from repro.graph import read_edge_list, write_edge_list
 
 
 class TestEdgeListIO:
@@ -31,13 +31,3 @@ class TestEdgeListIO:
         path.write_text("0 1\n")
         assert read_edge_list(str(path)).name == "mygraph"
 
-
-class TestNpzIO:
-    def test_roundtrip_preserves_metadata(self, tmp_path, tiny_graph):
-        path = tmp_path / "tiny.npz"
-        save_npz(tiny_graph, str(path))
-        loaded = load_npz(str(path))
-        assert loaded.name == tiny_graph.name
-        assert loaded.num_vertices == tiny_graph.num_vertices
-        np.testing.assert_array_equal(loaded.src, tiny_graph.src)
-        np.testing.assert_array_equal(loaded.dst, tiny_graph.dst)

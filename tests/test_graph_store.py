@@ -1,14 +1,14 @@
-"""Tests for the memory-mapped graph store: on-disk CSR round trips,
-zero-copy worker shipping, fingerprint serving and the graph CLI."""
+"""Tests for the memory-mapped graph store: on-disk round trips, the entry
+layout, zero-copy worker shipping, fingerprint serving and the graph CLI.
+That a mapped graph answers like the in-RAM one is an oracle row
+(``tests/test_reference_oracle.py::test_store_mapped_graph_matches_in_ram``)."""
 
 import json
 import os
-import tempfile
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.generators import generate_rmat
 from repro.graph import (
@@ -18,10 +18,10 @@ from repro.graph import (
     compute_properties,
     graph_fingerprint,
     open_stored_graph,
-    save_npz,
+    read_edge_list,
+    write_edge_list,
 )
 from repro.ease import EASE, GraphProfiler
-from repro.partitioning import create_partitioner
 from repro.runtime.backends import (
     _SHIP_ARRAYS,
     _SHIP_STORE,
@@ -67,17 +67,22 @@ class TestStoreRoundTrip:
         np.testing.assert_array_equal(np.asarray(reopened.src), graph.src)
         np.testing.assert_array_equal(np.asarray(reopened.dst), graph.dst)
 
+    def test_entry_holds_only_what_its_readers_map(self, tmp_path):
+        store = GraphStore(str(tmp_path))
+        entry = store.path_for(store.save(_sample_graph()))
+        assert sorted(os.listdir(entry)) == [
+            "dst.bin", "meta.json", "src.bin", "und_indices.bin",
+            "und_indptr.bin"]
+        with open(os.path.join(entry, "meta.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["format_version"] == 2
+
     def test_open_attaches_precomputed_adjacency(self, tmp_path):
         graph = _sample_graph()
         store = GraphStore(str(tmp_path))
         reopened = store.open(store.save(graph))
-        # The CSR views are attached from the mapped files at open time,
-        # not rebuilt on first use.
-        assert reopened._out_adj is not None
-        assert reopened._in_adj is not None
+        # The simple undirected CSR view is attached from the mapped files
+        # at open time, not rebuilt on first use.
         assert reopened._undirected_simple_adj is not None
-        _assert_csr_equal(reopened.csr(), graph.csr())
-        _assert_csr_equal(reopened.csr_in(), graph.csr_in())
         und, und_ref = (reopened.undirected_simple_csr(),
                         graph.undirected_simple_csr())
         np.testing.assert_array_equal(np.asarray(und.indptr), und_ref.indptr)
@@ -93,8 +98,8 @@ class TestStoreRoundTrip:
         assert fingerprint == graph_fingerprint(graph)
         assert other.save(graph) == fingerprint
         reopened = store.open(fingerprint)
-        assert reopened.stored_fingerprint == fingerprint
-        # O(1) on mapped graphs: the stored hash is returned as-is.
+        # O(1) on mapped graphs: the graph arrives with the stored hash.
+        assert reopened._fingerprint == fingerprint
         assert graph_fingerprint(reopened) == fingerprint
 
     def test_save_is_idempotent(self, tmp_path):
@@ -142,37 +147,6 @@ class TestStoreRoundTrip:
         opened = store.open_all()
         assert [g.name for g in opened] == sorted(g.name for g in graphs)
 
-    @settings(max_examples=25, deadline=None)
-    @given(edges=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
-                          min_size=0, max_size=60),
-           extra_vertices=st.integers(0, 4))
-    def test_mapped_equals_in_ram(self, edges, extra_vertices):
-        """Partitioning, properties and CSR views are array-identical
-        between a graph and its store-backed reopening."""
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = dst = np.empty(0, dtype=np.int64)
-        num_vertices = int(max(src.max(initial=-1),
-                               dst.max(initial=-1)) + 1 + extra_vertices)
-        graph = Graph(src, dst, num_vertices=num_vertices, name="prop")
-        with tempfile.TemporaryDirectory() as tmp_dir:
-            store = GraphStore(tmp_dir)
-            reopened = store.open(store.save(graph))
-            self._check_identical(graph, reopened, num_vertices)
-
-    def _check_identical(self, graph, reopened, num_vertices):
-        _assert_csr_equal(reopened.csr(), graph.csr())
-        _assert_csr_equal(reopened.csr_in(), graph.csr_in())
-        assert compute_properties(reopened, seed=7) == \
-            compute_properties(graph, seed=7)
-        if num_vertices:
-            for name in PARTITIONERS:
-                lhs = create_partitioner(name).partition(graph, 2)
-                rhs = create_partitioner(name).partition(reopened, 2)
-                np.testing.assert_array_equal(lhs.assignment, rhs.assignment)
-
 
 # --------------------------------------------------------------------------- #
 # Edge cases and corruption
@@ -184,7 +158,7 @@ class TestEdgeCases:
             reopened = store.open(store.save(graph))
             assert reopened.num_edges == 0
             assert reopened.num_vertices == graph.num_vertices
-            assert reopened.csr().degrees().sum() == 0
+            assert reopened.undirected_simple_csr().degrees().sum() == 0
             assert graph_fingerprint(reopened) == graph_fingerprint(graph)
 
     def test_trailing_isolated_vertices(self, tmp_path):
@@ -193,8 +167,8 @@ class TestEdgeCases:
         store = GraphStore(str(tmp_path))
         reopened = store.open(store.save(graph))
         assert reopened.num_vertices == 9
-        assert reopened.csr().indptr.shape == (10,)
-        assert reopened.csr().degree(8) == 0
+        assert reopened.undirected_simple_csr().indptr.shape == (10,)
+        assert reopened.undirected_simple_csr().degree(8) == 0
         # The isolated tail changes the content fingerprint.
         smaller = Graph(graph.src, graph.dst, num_vertices=2)
         assert graph_fingerprint(smaller) != graph_fingerprint(graph)
@@ -206,7 +180,8 @@ class TestEdgeCases:
         store = GraphStore(str(tmp_path))
         reopened = store.open(store.save(graph))
         assert reopened.num_edges == 6  # duplicates and loops are content
-        _assert_csr_equal(reopened.csr(), graph.csr())
+        np.testing.assert_array_equal(np.asarray(reopened.src), graph.src)
+        np.testing.assert_array_equal(np.asarray(reopened.dst), graph.dst)
         und = reopened.undirected_simple_csr()
         ref = graph.undirected_simple_csr()
         np.testing.assert_array_equal(np.asarray(und.indices), ref.indices)
@@ -217,7 +192,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             reopened.src[0] = 99
         with pytest.raises(ValueError):
-            reopened.csr().indices[0] = 99
+            reopened.undirected_simple_csr().indices[0] = 99
 
     def test_missing_meta_raises(self, tmp_path):
         (tmp_path / "entry").mkdir()
@@ -245,6 +220,21 @@ class TestEdgeCases:
         with pytest.raises(GraphStoreError, match="format version"):
             open_stored_graph(entry)
 
+    def test_format_1_entry_is_refused_by_name(self, tmp_path):
+        """No compatibility loader: an entry of the format that also held
+        out- and in-CSR arrays is refused, naming the entry."""
+        store = GraphStore(str(tmp_path))
+        entry = store.path_for(store.save(_sample_graph()))
+        meta_path = os.path.join(entry, "meta.json")
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        meta["format_version"] = 1
+        with open(meta_path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+        with pytest.raises(GraphStoreError, match="format version 1") as info:
+            open_stored_graph(entry)
+        assert entry in str(info.value)
+
     def test_truncated_bin_raises_named_error(self, tmp_path):
         store = GraphStore(str(tmp_path))
         entry = store.path_for(store.save(_sample_graph()))
@@ -257,8 +247,8 @@ class TestEdgeCases:
     def test_missing_bin_raises_named_error(self, tmp_path):
         store = GraphStore(str(tmp_path))
         entry = store.path_for(store.save(_sample_graph()))
-        os.remove(os.path.join(entry, "out_indices.bin"))
-        with pytest.raises(GraphStoreError, match="out_indices.bin"):
+        os.remove(os.path.join(entry, "und_indices.bin"))
+        with pytest.raises(GraphStoreError, match="und_indices.bin"):
             open_stored_graph(entry)
 
     def test_corrupted_entries_are_skipped_by_list(self, tmp_path):
@@ -282,27 +272,31 @@ class TestBackendShipping:
         assert shipped[1] == graph.store_path
         rebuilt = _graph_from_arrays(shipped)
         assert rebuilt.is_mapped
-        # The mapped round trip preserves the attached adjacency: nothing
-        # the save step precomputed is rebuilt worker-side.
-        assert rebuilt._out_adj is not None
-        assert rebuilt._in_adj is not None
+        # The mapped round trip preserves the attached adjacency and the
+        # stored fingerprint: nothing the save step precomputed is rebuilt
+        # worker-side.
         assert rebuilt._undirected_simple_adj is not None
-        _assert_csr_equal(rebuilt.csr(), graph.csr())
+        assert rebuilt._fingerprint == graph._fingerprint
+        _assert_csr_equal(rebuilt.undirected_simple_csr(),
+                          graph.undirected_simple_csr())
         assert graph_fingerprint(rebuilt) == graph_fingerprint(graph)
 
     def test_in_ram_fallback_recomputes_adjacency(self):
         graph = _sample_graph()
-        graph.csr(), graph.csr_in()  # populate the parent's caches
+        # populate the parent's caches
+        graph.undirected_adjacency(), graph.undirected_simple_csr()
         shipped = _graph_to_arrays(graph)
         assert shipped[0] == _SHIP_ARRAYS
         rebuilt = _graph_from_arrays(shipped)
         assert not rebuilt.is_mapped
         # The fallback deliberately ships only the edge arrays: cached
         # views are dropped and rebuilt lazily worker-side.
-        assert rebuilt._out_adj is None
-        assert rebuilt._in_adj is None
-        _assert_csr_equal(rebuilt.csr(), graph.csr())
-        _assert_csr_equal(rebuilt.csr_in(), graph.csr_in())
+        assert rebuilt._undirected_adj is None
+        assert rebuilt._undirected_simple_adj is None
+        _assert_csr_equal(rebuilt.undirected_adjacency(),
+                          graph.undirected_adjacency())
+        _assert_csr_equal(rebuilt.undirected_simple_csr(),
+                          graph.undirected_simple_csr())
 
     @pytest.mark.parametrize("backend", ["process", "worker"])
     def test_parallel_profile_matches_inline(self, tmp_path, backend):
@@ -450,14 +444,15 @@ class TestServingByFingerprint:
 # --------------------------------------------------------------------------- #
 class TestGraphCLI:
     def _write_inputs(self, tmp_path):
-        graphs = [generate_rmat(48, 220 + 70 * s, seed=s, graph_type="rmat")
-                  for s in range(2)]
+        """Two edge-list files and the graphs read back from them."""
         inputs_dir = tmp_path / "inputs"
         inputs_dir.mkdir()
-        paths = []
-        for graph in graphs:
-            path = str(inputs_dir / f"{graph.name}.npz")
-            save_npz(graph, path)
+        graphs, paths = [], []
+        for seed in range(2):
+            graph = generate_rmat(48, 220 + 70 * seed, seed=seed)
+            path = str(inputs_dir / f"{graph.name}.txt")
+            write_edge_list(graph, path)
+            graphs.append(read_edge_list(path))
             paths.append(path)
         return graphs, paths, str(inputs_dir)
 
@@ -486,30 +481,34 @@ class TestGraphCLI:
             main(["graph", "ls", "--store", str(tmp_path / "nope")])
 
     def test_profile_from_store_matches_directory(self, tmp_path, capsys):
-        _, paths, inputs_dir = self._write_inputs(tmp_path)
+        """``profile --graph-store`` over an imported directory of edge
+        lists records what profiling the directory's graphs in RAM does."""
+        graphs, paths, _ = self._write_inputs(tmp_path)
         store_dir = str(tmp_path / "store")
         assert main(["graph", "import", *paths, "--store", store_dir]) == 0
         capsys.readouterr()
 
-        flags = ["--partitioners", "dbh", "--partition-counts", "2",
-                 "--processing-partitions", "2", "--algorithms", "pagerank"]
         from_store = str(tmp_path / "store.pkl")
-        from_dir = str(tmp_path / "dir.pkl")
         assert main(["profile", "--graph-store", store_dir,
-                     "--output", from_store, *flags]) == 0
-        assert main(["profile", "--graphs", inputs_dir,
-                     "--output", from_dir, *flags]) == 0
+                     "--output", from_store, "--partitioners", "dbh",
+                     "--partition-counts", "2", "--processing-partitions",
+                     "2", "--algorithms", "pagerank"]) == 0
 
         from repro.ease.persistence import load_dataset
 
-        lhs, rhs = load_dataset(from_store), load_dataset(from_dir)
+        profiler = GraphProfiler(partitioner_names=("dbh",),
+                                 partition_counts=(2,),
+                                 processing_partition_count=2,
+                                 algorithms=("pagerank",))
+        lhs, rhs = load_dataset(from_store), profiler.profile(graphs, graphs)
         assert lhs.summary() == rhs.summary()
         assert lhs.quality == rhs.quality
         assert lhs.processing == rhs.processing
 
-    def test_profile_requires_a_graph_source(self, tmp_path):
-        with pytest.raises(SystemExit, match="at least one"):
+    def test_profile_requires_a_graph_source(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
             main(["profile", "--output", str(tmp_path / "out.pkl")])
+        assert "--graph-store" in capsys.readouterr().err
 
     def test_properties_from_store(self, tmp_path, capsys):
         graphs, paths, _ = self._write_inputs(tmp_path)
@@ -525,19 +524,6 @@ class TestGraphCLI:
             expected = compute_properties(graph, exact_triangles=False,
                                           seed=0).as_dict()
             assert stored == expected
-
-    def test_cache_gc_reports_graph_store(self, tmp_path, capsys):
-        _, paths, _ = self._write_inputs(tmp_path)
-        store_dir = str(tmp_path / "store")
-        assert main(["graph", "import", *paths, "--store", store_dir]) == 0
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        capsys.readouterr()
-        assert main(["cache", "gc", "--cache-dir", str(cache_dir),
-                     "--max-bytes", "0", "--graph-store", store_dir]) == 0
-        out = capsys.readouterr().out
-        assert f"graph store {store_dir}" in out
-        assert "2 graphs" in out
 
     def test_serve_rejects_missing_store(self, tmp_path):
         with pytest.raises(SystemExit, match="does not exist"):

@@ -1,12 +1,10 @@
 """Tests for model/dataset persistence and the command-line interface."""
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.generators import generate_rmat
-from repro.graph import save_npz, write_edge_list
+from repro.graph import GraphStore, write_edge_list
 from repro.ease import EASE, GraphProfiler, ProfileDataset
 from repro.ease.persistence import (
     load_dataset,
@@ -99,18 +97,15 @@ class TestCLI:
         exit_code = main(["generate", "--output", output, "--max-graphs", "3",
                           "--scale", "0.000002"])
         assert exit_code == 0
-        files = [name for name in os.listdir(output) if name.endswith(".npz")]
-        assert len(files) == 3
+        assert len(GraphStore(output).list()) == 3
 
     def test_full_cli_workflow(self, tmp_path, capsys):
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
+        store = GraphStore(str(tmp_path / "graphs"))
         for seed in range(3):
-            graph = generate_rmat(96, 600 + 100 * seed, seed=seed)
-            save_npz(graph, str(graphs_dir / f"g{seed}.npz"))
+            store.save(generate_rmat(96, 600 + 100 * seed, seed=seed))
 
         profile_path = str(tmp_path / "profile.pkl")
-        assert main(["profile", "--graphs", str(graphs_dir),
+        assert main(["profile", "--graph-store", store.root,
                      "--output", profile_path,
                      "--partitioners", "2d", "dbh", "ne",
                      "--algorithms", "pagerank",
@@ -131,9 +126,19 @@ class TestCLI:
         assert "selected partitioner:" in output
         assert "end-to-end (s)" in output
 
+        # A stored graph's directory is a --graph too, opened mapped.
+        stored = store.path_for(store.save(query_graph))
+        assert main(["select", "--model", model_path, "--graph", stored,
+                     "--algorithm", "pagerank", "--partitions", "2",
+                     "--goal", "processing"]) == 0
+        from_store = capsys.readouterr().out
+        # Same content, same answer: only the graph's label line differs.
+        assert (from_store.split("algorithm:", 1)[1]
+                == output.split("algorithm:", 1)[1])
+
     def test_profile_rejects_empty_directory(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(SystemExit):
-            main(["profile", "--graphs", str(empty),
+            main(["profile", "--graph-store", str(empty),
                   "--output", str(tmp_path / "p.pkl")])

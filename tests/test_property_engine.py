@@ -230,8 +230,14 @@ class TestBatchAndMemoization:
 
         graphs = [generate_rmat(96, 500, seed=s) for s in range(3)]
         profiler = GraphProfiler(cache_dir=str(tmp_path / "cache"))
-        first = profiler.graph_properties_batch(graphs)
-        second = profiler.graph_properties_batch(graphs)
+
+        def batch():
+            return compute_properties_batch(
+                graphs, exact_triangles=profiler.exact_triangles,
+                seed=profiler.seed, store=ArtifactStore(profiler.cache_dir))
+
+        first = batch()
+        second = batch()
         assert first == second
         store = ArtifactStore(str(tmp_path / "cache"))
         key = properties_artifact_key(graph_fingerprint(graphs[0]),
@@ -241,13 +247,12 @@ class TestBatchAndMemoization:
 
 class TestFeatureMatrixFromGraphs:
     def test_matches_per_graph_properties(self):
-        from repro.ease.features import (
-            graph_feature_matrix,
-            graph_feature_matrix_from_graphs,
-        )
+        from repro.ease.features import graph_feature_matrix
 
         graphs = [generate_rmat(96, 500 + 100 * s, seed=s) for s in range(3)]
-        direct = graph_feature_matrix_from_graphs(graphs, "advanced")
+        direct = graph_feature_matrix(
+            compute_properties_batch(graphs, exact_triangles=False),
+            "advanced")
         reference = graph_feature_matrix(
             [compute_properties(g, exact_triangles=False) for g in graphs],
             "advanced")
@@ -400,14 +405,13 @@ class TestPropertiesCLI:
 
         from repro.cli import main
         from repro.generators import generate_rmat
-        from repro.graph import GraphProperties, save_npz
+        from repro.graph import GraphProperties, GraphStore
 
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
+        store = GraphStore(str(tmp_path / "graphs"))
         graphs = [generate_rmat(96, 500 + 100 * s, seed=s) for s in range(2)]
         for graph in graphs:
-            save_npz(graph, str(graphs_dir / f"{graph.name}.npz"))
-        args = ["properties", "--graphs", str(graphs_dir),
+            store.save(graph)
+        args = ["properties", "--graph-store", store.root,
                 "--output", str(tmp_path / "props"),
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(args) == 0

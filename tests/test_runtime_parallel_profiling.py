@@ -296,16 +296,15 @@ STATS_JSON_RUN_KEYS = {
 class TestCLIParallelProfiling:
     def test_profile_with_jobs_cache_and_resume(self, graphs, tmp_path,
                                                 capsys):
-        from repro.graph import save_npz
+        from repro.graph import GraphStore
 
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
-        for index, graph in enumerate(graphs[:2]):
-            save_npz(graph, str(graphs_dir / f"g{index}.npz"))
+        store = GraphStore(str(tmp_path / "graphs"))
+        for graph in graphs[:2]:
+            store.save(graph)
         output = str(tmp_path / "profile.pkl")
         cache_dir = str(tmp_path / "cache")
         stats_path = str(tmp_path / "stats.json")
-        arguments = ["profile", "--graphs", str(graphs_dir),
+        arguments = ["profile", "--graph-store", store.root,
                      "--output", output,
                      "--partitioners", "2d", "dbh",
                      "--algorithms", "pagerank",

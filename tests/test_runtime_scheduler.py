@@ -486,13 +486,12 @@ class TestWallClockRepeats:
 # --------------------------------------------------------------------------- #
 class TestCLIBackends:
     def test_profile_backend_flag(self, graphs, tmp_path, capsys):
-        from repro.graph import save_npz
+        from repro.graph import GraphStore
 
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
-        save_npz(graphs[0], str(graphs_dir / "g0.npz"))
+        store = GraphStore(str(tmp_path / "graphs"))
+        store.save(graphs[0])
         output = str(tmp_path / "profile.pkl")
-        assert main(["profile", "--graphs", str(graphs_dir),
+        assert main(["profile", "--graph-store", store.root,
                      "--output", output,
                      "--partitioners", "2d",
                      "--algorithms", "pagerank",
@@ -507,5 +506,5 @@ class TestCLIBackends:
         with pytest.raises(ValueError):
             ProfileExecutor(backend="teleport")
         with pytest.raises(SystemExit):
-            main(["profile", "--graphs", "x", "--output", "y",
+            main(["profile", "--graph-store", "x", "--output", "y",
                   "--backend", "teleport"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.generators import generate_rmat
-from repro.graph import GraphProperties, compute_properties, save_npz
+from repro.graph import GraphProperties, GraphStore, compute_properties
 from repro.ease import (
     EASE,
     GraphProfiler,
@@ -640,13 +640,11 @@ class TestServingCLI:
             main(["select", "--model", bundle, "--algorithm", "pagerank"])
 
     def test_profile_extend_profiles_only_new_graphs(self, tmp_path, capsys):
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
+        store = GraphStore(str(tmp_path / "graphs"))
         for seed in range(2):
-            save_npz(generate_rmat(96, 600 + 100 * seed, seed=seed),
-                     str(graphs_dir / f"g{seed}.npz"))
+            store.save(generate_rmat(96, 600 + 100 * seed, seed=seed))
         dataset_path = str(tmp_path / "profile.pkl")
-        base_args = ["--graphs", str(graphs_dir), "--output", dataset_path,
+        base_args = ["--graph-store", store.root, "--output", dataset_path,
                      "--partitioners", "2d", "dbh",
                      "--algorithms", "pagerank",
                      "--partition-counts", "2",
@@ -655,7 +653,7 @@ class TestServingCLI:
         first = load_dataset(dataset_path)
         assert len(first.graph_names()) == 2
 
-        save_npz(generate_rmat(96, 900, seed=7), str(graphs_dir / "g7.npz"))
+        store.save(generate_rmat(96, 900, seed=7))
         capsys.readouterr()
         assert main(["profile"] + base_args
                     + ["--extend", dataset_path]) == 0
@@ -673,11 +671,10 @@ class TestServingCLI:
         assert load_dataset(dataset_path).summary() == extended.summary()
 
     def test_extend_missing_dataset_fails(self, tmp_path):
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
-        save_npz(generate_rmat(96, 600, seed=0), str(graphs_dir / "g0.npz"))
+        store = GraphStore(str(tmp_path / "graphs"))
+        store.save(generate_rmat(96, 600, seed=0))
         with pytest.raises(SystemExit):
-            main(["profile", "--graphs", str(graphs_dir),
+            main(["profile", "--graph-store", store.root,
                   "--output", str(tmp_path / "p.pkl"),
                   "--extend", str(tmp_path / "missing.pkl")])
 
@@ -780,6 +777,32 @@ class TestBatchSubmission:
             for g in query_graphs])
         assert calls == [len(query_graphs)]
         assert service.stats.property_cache_misses == len(query_graphs)
+
+    def test_cold_batch_hashes_each_graph_once(self, trained_system,
+                                               monkeypatch):
+        """The property cache's key and the property engine's content
+        deduplication share one fingerprint per raw graph: a cold batch of
+        four graphs constructs four SHA-256 hashers, not eight."""
+        import hashlib
+        from types import SimpleNamespace
+
+        import repro.graph.graph as graph_module
+
+        graphs = [generate_rmat(128, 800 + 120 * s, seed=40 + s)
+                  for s in range(4)]
+        hashers = []
+
+        def counting_sha256(*args):
+            hashers.append(1)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(graph_module, "hashlib",
+                            SimpleNamespace(sha256=counting_sha256))
+        service = SelectionService(trained_system)
+        service.select_many([
+            SelectionRequest(graph=g, algorithm="pagerank", num_partitions=2)
+            for g in graphs])
+        assert len(hashers) == len(graphs)
 
     def test_batch_with_cache_hits_and_misses(self, trained_system,
                                               query_graphs):

@@ -17,6 +17,7 @@ from repro.cli import main
 from repro.generators import generate_rmat
 from repro.graph import (
     Graph,
+    GraphStore,
     PropertyEstimate,
     approximate_properties,
     approximate_triangle_stats,
@@ -24,7 +25,6 @@ from repro.graph import (
     graph_fingerprint,
     hoeffding_half_width,
     properties_artifact_key,
-    save_npz,
 )
 from repro.graph.property_engine import _oriented_pair_count
 from repro.runtime import ArtifactStore
@@ -278,13 +278,11 @@ class TestModeCacheSeparation:
 
 class TestPropertiesCLI:
     def test_approximate_mode_flag(self, tmp_path, capsys):
-        graphs_dir = tmp_path / "graphs"
-        graphs_dir.mkdir()
+        store = GraphStore(str(tmp_path / "graphs"))
         for seed in range(2):
-            graph = generate_rmat(96, 500 + 100 * seed, seed=seed)
-            save_npz(graph, str(graphs_dir / f"g{seed}.npz"))
+            store.save(generate_rmat(96, 500 + 100 * seed, seed=seed))
         output = str(tmp_path / "props")
-        exit_code = main(["properties", "--graphs", str(graphs_dir),
+        exit_code = main(["properties", "--graph-store", store.root,
                           "--output", output, "--mode", "approximate",
                           "--wedge-budget", "512"])
         assert exit_code == 0
