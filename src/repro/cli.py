@@ -94,6 +94,7 @@ from .graph import (
     Graph,
     GraphStore,
     GraphStoreError,
+    graph_fingerprint,
     open_stored_graph,
     read_edge_list,
 )
@@ -311,8 +312,6 @@ def _command_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _command_graph_import(args: argparse.Namespace) -> int:
-    from .graph import graph_fingerprint
-
     store = GraphStore(args.store)
     imported = skipped = 0
     for path in args.inputs:
