@@ -1,8 +1,9 @@
 """Memory-mapped graph store: page-shared workers and O(1) serving cold-start.
 
-The zero-copy claim of the graph store (``repro.graph.store``) is that a
-profiling corpus stored as on-disk edge arrays + precomputed CSR views is
-*opened*, not loaded: ``np.memmap`` pages fault in on first touch and are
+The zero-copy claim of the graph store (``repro.graph.store``, the one
+persisted graph format) is that a profiling corpus stored as on-disk edge
+arrays + the precomputed simple undirected CSR view is *opened*, not
+loaded: ``np.memmap`` pages fault in on first touch and are
 shared through the OS page cache by every process that maps them.  Three
 experiments measure what that buys over the in-RAM baseline, which ships
 pickled edge arrays to every pool worker:
@@ -21,9 +22,9 @@ pickled edge arrays to every pool worker:
   Worker-side memory is *reported* but deliberately not gated, because on
   fork platforms the comparison is confounded twice over: the in-RAM
   corpus is inherited copy-on-write (so the workers' edge arrays are
-  page-shared in both modes — only the privately rebuilt CSR views
-  differ, and the pool's aggregate PSS sampled at backend close shows
-  it), and the per-worker ``getrusage`` high-water mark charges shared
+  page-shared in both modes — only the privately rebuilt undirected CSR
+  view differs, and the pool's aggregate PSS sampled at backend close
+  shows it), and the per-worker ``getrusage`` high-water mark charges shared
   pages — COW or page-cache — fully to every process, so it cannot see
   either mode's sharing.  Both numbers are in the table: the per-worker
   peak RSS and the pool retained PSS (aggregate proportional set size at
@@ -138,7 +139,7 @@ def _load_corpus(store: GraphStore, mode: str):
     graphs = store.open_all()
     if mode == "arrays":
         # The mapped sources are dropped as they are copied, so the parent
-        # holds exactly one in-RAM corpus — what a .npz loader would hold.
+        # holds exactly one in-RAM corpus — what loading every graph holds.
         graphs = [_materialize(graph) for graph in graphs]
     return graphs
 

@@ -202,10 +202,10 @@ def _graph_to_arrays(graph: Graph) -> Tuple:
     reference: the worker re-opens the memory map and shares the parent's
     OS page cache, so IPC per graph is O(1) instead of O(m), and the
     fingerprint and simple undirected CSR view recorded at save time
-    arrive with the re-opened entry.  The
-    directory must be reachable at the same path in the worker — always
-    true for the local process pool, and the same shared-filesystem
-    contract the worker-queue directory already requires.
+    arrive with the re-opened entry.  The directory must be reachable at
+    the same path in the worker — always true for the local process pool,
+    and the same shared-filesystem contract the worker-queue directory
+    already requires.
 
     In-RAM graphs fall back to shipping the raw edge arrays.  Cached
     adjacency views are deliberately *not* shipped on this path: pickling
