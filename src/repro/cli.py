@@ -130,7 +130,10 @@ def _store_graphs(directory: str) -> List[Graph]:
     """Every graph of the store at ``directory``, memory-mapped."""
     if not os.path.isdir(directory):
         raise SystemExit(f"graph store {directory!r} does not exist")
-    graphs = GraphStore(directory).open_all()
+    try:
+        graphs = GraphStore(directory).open_all()
+    except GraphStoreError as error:
+        raise SystemExit(str(error))
     if not graphs:
         raise SystemExit(f"graph store {directory!r} holds no graphs")
     return graphs
@@ -257,13 +260,11 @@ def _command_profile(args: argparse.Namespace) -> int:
     print(f"profiled {len(graphs)} graphs -> {dataset.summary()}")
     if stats is not None:
         print(f"jobs={args.jobs}  backend={stats.backend}"
+              f"  tasks={stats.total_tasks}: {stats.executed_tasks} executed,"
+              f" {stats.cache_hit_tasks} from cache,"
+              f" {stats.checkpoint_tasks} resumed"
               f"  partitions computed={stats.partitions_computed}"
-              f"  cache hit rate={stats.cache_hit_rate():.0%}"
-              f"  resumed units={stats.checkpoint_units}")
-        print(f"tasks: {stats.executed_tasks} executed, "
-              f"{stats.cache_hit_tasks} from cache, "
-              f"{stats.checkpoint_tasks} from checkpoint "
-              f"of {stats.total_tasks} total")
+              f"  cache hit rate={stats.cache_hit_rate():.0%}")
         if stats.retried_tasks or stats.deadline_failures:
             print(f"failure policy: {stats.retried_tasks} retries, "
                   f"{stats.deadline_failures} deadline expiries "
@@ -337,8 +338,10 @@ def _command_graph_ls(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.store):
         raise SystemExit(f"graph store {args.store!r} does not exist")
     store = GraphStore(args.store)
-    infos = sorted(store.list(), key=lambda info: (info.name,
-                                                   info.fingerprint))
+    infos, unreadable = store.scan()
+    infos.sort(key=lambda info: (info.name, info.fingerprint))
+    for directory, reason in unreadable.items():
+        print(f"unreadable  {directory}  {reason}")
     if not infos:
         print("no stored graphs")
         return 0

@@ -40,7 +40,9 @@ class EASE:
     Parameters
     ----------
     partitioner_names:
-        Candidate partitioners the selector chooses between.
+        Candidate partitioners the selector chooses between; ``None`` takes
+        those the training dataset's quality records hold.  :meth:`train`
+        refuses a name the dataset lacks.
     feature_set:
         Graph-property feature set of the quality predictor.
     replication_feature_set:
@@ -50,11 +52,12 @@ class EASE:
         Seed for all default models.
     """
 
-    def __init__(self, partitioner_names: Sequence[str] = ALL_PARTITIONER_NAMES,
+    def __init__(self, partitioner_names: Optional[Sequence[str]] = None,
                  feature_set: str = "basic",
                  replication_feature_set: Optional[str] = None,
                  random_state: int = 0) -> None:
-        self.partitioner_names = list(partitioner_names)
+        self.partitioner_names = (None if partitioner_names is None
+                                  else list(partitioner_names))
         self.quality_predictor = PartitioningQualityPredictor(
             feature_set=feature_set,
             replication_feature_set=replication_feature_set,
@@ -68,6 +71,15 @@ class EASE:
     # ------------------------------------------------------------------ #
     def train(self, dataset: ProfileDataset) -> "EASE":
         """Train all three predictors from a profiling dataset."""
+        profiled = {record.partitioner for record in dataset.quality}
+        if self.partitioner_names is None:
+            self.partitioner_names = [name for name in ALL_PARTITIONER_NAMES
+                                      if name in profiled]
+        missing = [name for name in self.partitioner_names
+                   if name not in profiled]
+        if missing:
+            raise ValueError(f"partitioners {missing} have no quality "
+                             "records in the training dataset")
         if dataset.quality:
             self.quality_predictor.fit(dataset.quality)
         if dataset.partitioning_time:
@@ -94,7 +106,7 @@ class EASE:
         task-level checkpoint/resume of the profiling phase.
         """
         profiler = profiler or GraphProfiler()
-        system = cls(partitioner_names=profiler.partitioner_names, **kwargs)
+        system = cls(**kwargs)
         dataset = profiler.profile(quality_graphs, processing_graphs,
                                    checkpoint_path=checkpoint_path)
         return system.train(dataset)

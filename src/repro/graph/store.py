@@ -55,7 +55,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -303,9 +303,12 @@ class GraphStore:
             f"graph store {self.root!r} has no graph {ref!r}")
 
     def open_all(self) -> List[Graph]:
-        """Open every stored graph (mapped), sorted by name then fingerprint."""
-        infos = sorted(self.list(), key=lambda info: (info.name,
-                                                      info.fingerprint))
+        """Open every stored graph (mapped), sorted by name then
+        fingerprint; any unreadable entry raises, naming it."""
+        infos, unreadable = self.scan()
+        if unreadable:
+            raise GraphStoreError("; ".join(unreadable.values()))
+        infos.sort(key=lambda info: (info.name, info.fingerprint))
         return [self.open(info.fingerprint) for info in infos]
 
     # ------------------------------------------------------------------ #
@@ -331,12 +334,17 @@ class GraphStore:
         return total
 
     def list(self) -> List[StoredGraphInfo]:
-        """Describe every stored graph (unreadable entries are skipped)."""
-        infos = []
+        """Describe every readable stored graph (see :meth:`scan`)."""
+        return self.scan()[0]
+
+    def scan(self) -> Tuple[List[StoredGraphInfo], Dict[str, str]]:
+        """Readable entries, and why each other entry is unreadable."""
+        infos, unreadable = [], {}
         for directory in self._entry_dirs():
             try:
                 meta = _load_meta(directory)
-            except GraphStoreError:
+            except GraphStoreError as error:
+                unreadable[directory] = str(error)
                 continue
             infos.append(StoredGraphInfo(
                 fingerprint=meta["fingerprint"], name=meta["name"],
@@ -345,7 +353,7 @@ class GraphStore:
                 num_edges=meta["num_edges"],
                 nbytes=self._entry_bytes(directory),
                 path=directory))
-        return infos
+        return infos, unreadable
 
     def disk_usage(self) -> Dict[str, int]:
         """Graphs, files and bytes held by this store (for ``graph ls``)."""

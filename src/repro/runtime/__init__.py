@@ -21,7 +21,7 @@ from .tasks import (
     PropertiesTask,
     QualityTask,
 )
-from .scheduler import Scheduler, TaskGraph, build_task_graph
+from .scheduler import Scheduler, build_task_graph
 from .backends import (
     ExecutorBackend,
     InlineBackend,
@@ -52,7 +52,6 @@ __all__ = [
     "PropertiesTask",
     "QualityTask",
     "Scheduler",
-    "TaskGraph",
     "build_task_graph",
     "ExecutorBackend",
     "InlineBackend",

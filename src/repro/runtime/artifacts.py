@@ -36,7 +36,7 @@ ArtifactKey = Tuple[Any, ...]
 TRANSIENT_KINDS = frozenset({"partition"})
 
 #: A ``.tmp`` file older than this is a leftover of a crashed writer and is
-#: reclaimed by eviction/gc; younger ones may belong to a live concurrent
+#: reclaimed by gc; younger ones may belong to a live concurrent
 #: writer (an atomic write holds its temp file for milliseconds).
 TMP_RECLAIM_AGE_SECONDS = 60.0
 
@@ -53,25 +53,15 @@ class ArtifactStore:
     cache_dir:
         Directory of the on-disk mirror; ``None`` keeps the store purely
         in-memory (artifacts then only live for the duration of one run).
-    max_bytes:
-        Optional size bound of the on-disk mirror.  After every write the
-        least-recently-used artifact files are evicted until the mirror
-        fits (reads refresh recency via the file mtime).  ``None`` keeps
-        the historical unbounded behaviour; use :meth:`gc` for one-shot
-        reclamation of an existing cache directory.
+        The mirror is unbounded; :meth:`gc` shrinks it in LRU order (reads
+        refresh recency via the file mtime).
     """
 
-    def __init__(self, cache_dir: Optional[str] = None,
-                 max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = cache_dir
-        self.max_bytes = max_bytes
         self._memory: Dict[ArtifactKey, Any] = {}
         self.hits = 0
         self.misses = 0
-        self.evicted_files = 0
-        self.evicted_bytes = 0
         registry = get_registry()
         self._hits_counter = registry.counter(
             "artifact_store_hits_total",
@@ -119,7 +109,7 @@ class ArtifactStore:
                 self._misses_counter.inc()
                 return None
             try:
-                os.utime(path)  # refresh LRU recency for eviction
+                os.utime(path)  # refresh LRU recency for gc
             except OSError:
                 pass
             if not self._is_transient(key):
@@ -175,8 +165,6 @@ class ArtifactStore:
             # name, as a crash between write and rename on a non-atomic
             # filesystem would.
             write_atomic(path, tear(data, torn) if torn else data)
-            if self.max_bytes is not None:
-                self._enforce_limit(self.max_bytes, keep=path)
         return value
 
     @staticmethod
@@ -184,7 +172,7 @@ class ArtifactStore:
         return bool(key) and key[0] in TRANSIENT_KINDS
 
     # ------------------------------------------------------------------ #
-    # Lifecycle: size-bounded eviction and garbage collection
+    # Lifecycle: garbage collection
     # ------------------------------------------------------------------ #
     def _disk_entries(self):
         """(mtime, size, path) of every artifact file under ``cache_dir``."""
@@ -200,43 +188,6 @@ class ArtifactStore:
                     continue
                 entries.append((info.st_mtime, info.st_size, path))
         return entries
-
-    def _enforce_limit(self, max_bytes: int,
-                       keep: Optional[str] = None) -> Dict[str, int]:
-        """Evict least-recently-used files until the mirror fits.
-
-        ``keep`` protects the just-written file so a single artifact larger
-        than the bound does not evict itself.  ``.tmp`` files from crashed
-        writers are reclaimed first, but only once they are old enough to
-        rule out a live concurrent writer between the temp file of
-        :func:`~repro.atomicfile.write_atomic` and its rename (workers
-        legitimately share the cache directory).
-        """
-        import time
-
-        reclaimed = {"removed_files": 0, "reclaimed_bytes": 0}
-        entries = self._disk_entries()
-        stale_cutoff = time.time() - TMP_RECLAIM_AGE_SECONDS
-        stale = [entry for entry in entries
-                 if entry[2].endswith(".tmp") and entry[0] < stale_cutoff]
-        entries = [entry for entry in entries if not entry[2].endswith(".tmp")]
-        for _, size, path in stale:
-            if self._remove(path):
-                reclaimed["removed_files"] += 1
-                reclaimed["reclaimed_bytes"] += size
-        total = sum(size for _, size, _ in entries)
-        for _, size, path in sorted(entries):  # oldest mtime first
-            if total <= max_bytes:
-                break
-            if path == keep:
-                continue
-            if self._remove(path):
-                total -= size
-                reclaimed["removed_files"] += 1
-                reclaimed["reclaimed_bytes"] += size
-        self.evicted_files += reclaimed["removed_files"]
-        self.evicted_bytes += reclaimed["reclaimed_bytes"]
-        return reclaimed
 
     @staticmethod
     def _remove(path: str) -> bool:
@@ -255,23 +206,39 @@ class ArtifactStore:
     def gc(self, max_bytes: int = 0) -> Dict[str, int]:
         """Shrink the on-disk mirror to ``max_bytes`` (LRU order).
 
-        ``0`` clears the cache entirely.  Returns the reclaimed bytes/files
-        plus the remaining usage — the numbers the ``repro cache gc``
-        subcommand reports.  The in-memory working set is untouched.
+        ``0`` clears the cache entirely.  ``.tmp`` files from crashed
+        writers are reclaimed first, but only once they are old enough to
+        rule out a live concurrent writer between the temp file of
+        :func:`~repro.atomicfile.write_atomic` and its rename (workers
+        legitimately share the cache directory).  Returns the reclaimed
+        bytes/files plus the remaining usage — the numbers the ``repro
+        cache gc`` subcommand reports.  The in-memory working set is
+        untouched.
         """
+        import time
+
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        reclaimed = self._enforce_limit(max_bytes)
+        removed_files = reclaimed_bytes = 0
+        entries = self._disk_entries()
+        stale_cutoff = time.time() - TMP_RECLAIM_AGE_SECONDS
+        stale = [entry for entry in entries
+                 if entry[2].endswith(".tmp") and entry[0] < stale_cutoff]
+        entries = [entry for entry in entries if not entry[2].endswith(".tmp")]
+        for _, size, path in stale:
+            if self._remove(path):
+                removed_files += 1
+                reclaimed_bytes += size
+        total = sum(size for _, size, _ in entries)
+        for _, size, path in sorted(entries):  # oldest mtime first
+            if total <= max_bytes:
+                break
+            if self._remove(path):
+                total -= size
+                removed_files += 1
+                reclaimed_bytes += size
         usage = self.disk_usage()
-        return {"reclaimed_bytes": reclaimed["reclaimed_bytes"],
-                "removed_files": reclaimed["removed_files"],
+        return {"reclaimed_bytes": reclaimed_bytes,
+                "removed_files": removed_files,
                 "remaining_bytes": usage["bytes"],
                 "remaining_files": usage["files"]}
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters and artifacts held in memory."""
-        return {"hits": self.hits, "misses": self.misses,
-                "in_memory": len(self._memory),
-                "evicted_files": self.evicted_files,
-                "evicted_bytes": self.evicted_bytes}

@@ -17,25 +17,29 @@ identical to a sequential run regardless of backend or completion order.
 
 Artifacts and caching
 ---------------------
-Every task consults an :class:`ArtifactStore` before computing.  With a
-``cache_dir``, artifacts persist across runs: a warm re-run of the same grid
-partitions nothing and only replays the merge.  Model-mode partitioning
-run-times are cached; wall-clock measurements are remeasured by design (but
-see checkpointing below).
+The scheduler's pre-pass looks every task up in an :class:`ArtifactStore`
+once, before anything is dispatched; an executed task computes and stores
+its artifact without looking again.  With a ``cache_dir``, artifacts persist
+across runs: a warm re-run of the same grid partitions nothing and only
+replays the merge.  Model-mode partitioning run-times are cached; wall-clock
+measurements are remeasured by design (but see checkpointing below).
 
 Checkpoint / resume
 -------------------
-With a ``checkpoint_path``, completed *task* payloads are incrementally
-pickled; a later run with the same path skips them — mid-unit — and
-completes the rest.  This includes wall-clock timing samples, which never
-enter the artifact cache.  Partition assignments are deliberately not
-checkpointed (they are large and cheap to restore from the disk cache or
-recompute).
+With a ``checkpoint_path``, completed *task* payloads are appended to a
+:class:`~repro.runtime.journal.CheckpointJournal`; a later run with the same
+path skips them — mid-unit — and completes the rest.  This includes
+wall-clock timing samples, which never enter the artifact cache.  Partition
+assignments are deliberately not checkpointed (they are large and cheap to
+restore from the disk cache or recompute).
+
+Run statistics
+--------------
+:class:`ProfileRunStats` counts tasks, each by its one disposition.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from collections import Counter
@@ -59,7 +63,6 @@ from .scheduler import (
     DISPOSITION_CHECKPOINT,
     DISPOSITION_EXECUTED,
     DISPOSITION_PRUNED,
-    DISPOSITION_QUARANTINED,
     DISPOSITION_SKIPPED,
     Scheduler,
     build_task_graph,
@@ -83,24 +86,17 @@ BACKEND_NAMES = ("auto", "inline", "process", "worker")
 # --------------------------------------------------------------------------- #
 @dataclass
 class ProfileRunStats:
-    """Task- and unit-level accounting of one profiling run.
+    """Task-level accounting of one profiling run.
 
-    Unit counters classify each ``(graph, partitioner, k)`` unit by how its
-    tasks were satisfied: fully from the artifact cache
-    (``cache_hit_units``), from the checkpoint (``checkpoint_units``,
-    possibly mixed with cache hits), or with at least one task actually
-    executed (``executed_units``).
-    ``partition_slots_enumerated`` counts grid slots as the sequential
+    ``cache_hit_tasks`` counts store restores plus partitions pruned
+    because nothing consumed them.  ``partition_slots_enumerated`` counts grid slots as the sequential
     profiler would execute them (one partitioning each);
     ``unique_partition_jobs`` counts the partition tasks left after
-    content-addressing; ``partitions_computed`` counts the partitioner
-    invocations that actually happened (0 on a fully warm cache).
+    content-addressing; ``partitions_computed`` and ``properties_computed``
+    count the executed partition and properties tasks (0 on a fully warm
+    cache).
     """
 
-    total_units: int = 0
-    executed_units: int = 0
-    cache_hit_units: int = 0
-    checkpoint_units: int = 0
     partitions_computed: int = 0
     partition_slots_enumerated: int = 0
     unique_partition_jobs: int = 0
@@ -122,10 +118,10 @@ class ProfileRunStats:
     quarantines: List[Dict[str, Any]] = field(default_factory=list)
 
     def cache_hit_rate(self) -> float:
-        """Fraction of work units fully served by the artifact cache."""
-        if self.total_units == 0:
+        """Fraction of tasks served by the artifact cache."""
+        if self.total_tasks == 0:
             return 0.0
-        return self.cache_hit_units / self.total_units
+        return self.cache_hit_tasks / self.total_tasks
 
     def as_dict(self) -> Dict[str, Any]:
         """Every field plus the derived ``cache_hit_rate`` (the
@@ -150,9 +146,9 @@ class ProfileExecutor:
         Optional path for incremental task-payload checkpoints; if the file
         already exists, its completed tasks are skipped (resume).
     checkpoint_every:
-        Write the checkpoint after this many newly completed tasks.  Each
-        write rewrites the whole (small, scalar-only) payload dict, so the
-        default batches writes; a final write always happens at run end.
+        Append to the checkpoint once this many newly completed payloads
+        are pending (each append fsyncs, so the default batches them); a
+        final append always happens at run end.
     backend:
         ``"auto"``/``None`` (inline for ``jobs == 1``, process pool
         otherwise), one of :data:`BACKEND_NAMES`, or an
@@ -238,15 +234,7 @@ class ProfileExecutor:
         if self.checkpoint_path:
             journal = CheckpointJournal(self.checkpoint_path)
             checkpoint = journal.load()
-            journaled = set(checkpoint)
-
-            def on_checkpoint(payloads: Dict[Any, Any]) -> None:
-                # Append only the frames not yet journaled; a torn tail
-                # costs at most one batch, never the whole checkpoint.
-                fresh = {key: value for key, value in payloads.items()
-                         if key not in journaled}
-                journal.append(fresh)
-                journaled.update(fresh)
+            on_checkpoint = journal.append
 
         task_graph = build_task_graph(plan, repeats=self.time_repeats)
         scheduler = Scheduler(task_graph, store, checkpoint=checkpoint,
@@ -279,29 +267,35 @@ class ProfileExecutor:
             if temp_queue is not None:
                 shutil.rmtree(temp_queue, ignore_errors=True)
 
-        stats = self._run_stats(task_graph, outcome, backend.name)
+        stats = self._run_stats(plan, task_graph, outcome, backend.name)
         if outcome.quarantined:
             # A partial result must not masquerade as a dataset: surface
             # the poisoned tasks (with what *did* run) as an error.
             raise QuarantineError(outcome.quarantined, stats)
-        return self._assemble(plan, task_graph, outcome, stats)
+        return self._assemble(task_graph, outcome), stats
 
     @staticmethod
-    def _run_stats(task_graph, outcome, backend_name: str) -> ProfileRunStats:
-        """Disposition-level statistics: all a run that quarantined tasks
-        can report (its per-unit payload fold is impossible — payloads are
-        missing)."""
-        units = {task.unit_key for task in task_graph.tasks.values()}
-        units.discard(None)
+    def _run_stats(plan: ProfilePlan, task_graph, outcome,
+                   backend_name: str) -> ProfileRunStats:
+        """Tallies of the task kinds and of the dispositions."""
+        kinds = Counter(task_id[0] for task_id in task_graph.tasks)
         counts = Counter(outcome.dispositions.values())
+        executed = Counter(task_id[0] for task_id, disposition
+                           in outcome.dispositions.items()
+                           if disposition == DISPOSITION_EXECUTED)
+        slots = plan.enumerated_partition_slots()
         return ProfileRunStats(
-            total_units=len(units),
+            partition_slots_enumerated=slots,
+            unique_partition_jobs=kinds["partition"],
+            duplicate_partitions_avoided=slots - kinds["partition"],
+            properties_total=kinds["properties"],
             total_tasks=len(task_graph.tasks),
             executed_tasks=counts[DISPOSITION_EXECUTED],
             checkpoint_tasks=counts[DISPOSITION_CHECKPOINT],
             cache_hit_tasks=(counts[DISPOSITION_CACHE]
                              + counts[DISPOSITION_PRUNED]),
-            partitions_computed=outcome.partitions_computed,
+            partitions_computed=executed["partition"],
+            properties_computed=executed["properties"],
             backend=backend_name,
             retried_tasks=outcome.retried_tasks,
             deadline_failures=outcome.deadline_failures,
@@ -311,44 +305,24 @@ class ProfileExecutor:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _assemble(plan: ProfilePlan, task_graph, outcome,
-                  stats: ProfileRunStats
-                  ) -> Tuple[Dict[Any, Any], ProfileRunStats]:
+    def _assemble(task_graph, outcome) -> Dict[Any, Any]:
         """Fold task payloads into per-graph properties and per-unit
-        payloads; complete the run statistics."""
+        payloads."""
         results: Dict[Any, Any] = {}
-        unit_dispositions: Dict[Tuple[str, str, int], List[str]] = {}
         for task_id, task in task_graph.tasks.items():
             kind = task_id[0]
             if kind == "properties":
-                payload = outcome.payloads[task_id]
-                results[task.graph_fingerprint] = payload["properties"]
-                stats.properties_total += 1
-                stats.properties_computed += payload["computed"]
-                continue
-            unit_key = task.unit_key
-            unit_dispositions.setdefault(unit_key, []).append(
-                outcome.dispositions[task_id])
-            unit = results.setdefault(unit_key, {"processing": {}})
-            if kind == "quality":
-                unit["quality"] = outcome.payloads[task_id]
-            elif kind == "partitioning_time_task":
-                unit["timing"] = outcome.payloads[task_id]
-            elif kind == "processing":
-                unit["processing"][task.algorithm] = outcome.payloads[task_id]
-
-        for dispositions in unit_dispositions.values():
-            if DISPOSITION_EXECUTED in dispositions:
-                stats.executed_units += 1
-            elif DISPOSITION_CHECKPOINT in dispositions:
-                stats.checkpoint_units += 1
-            else:
-                stats.cache_hit_units += 1
-        stats.partition_slots_enumerated = plan.enumerated_partition_slots()
-        stats.unique_partition_jobs = stats.total_units
-        stats.duplicate_partitions_avoided = (
-            stats.partition_slots_enumerated - stats.total_units)
-        return results, stats
+                results[task.graph_fingerprint] = outcome.payloads[task_id]
+            elif kind != "partition":
+                unit = results.setdefault(task.unit_key, {"processing": {}})
+                if kind == "quality":
+                    unit["quality"] = outcome.payloads[task_id]
+                elif kind == "partitioning_time_task":
+                    unit["timing"] = outcome.payloads[task_id]
+                else:
+                    unit["processing"][task.algorithm] = \
+                        outcome.payloads[task_id]
+        return results
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 The journal holds a dict of ``task_id -> payload`` as an append-only
 sequence of frames, so a flush costs O(new tasks), not O(checkpoint)::
 
-    RPJL1\\n                                  magic (6 bytes)
+    RPJL2\\n                                  magic (6 bytes)
     [u32 length][u32 crc32][pickle((key, value))]   frame, repeated
 
 Each frame is one completed task.  A crash (or injected ``torn`` fault)
@@ -13,6 +13,9 @@ warning — a torn tail costs at most ``checkpoint_every`` tasks, never the
 checkpoint.  A file at the journal path that does not start with the magic
 is not a journal: it loads as ``{}`` (with a warning) and the next
 :meth:`append` replaces it atomically instead of extending it.
+
+Frames hold bare payloads; an ``RPJL1`` journal (wrapped properties
+payloads) is "not a journal", so its tasks are recomputed, not misread.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..obs import get_logger, get_registry
 
 __all__ = ["CheckpointJournal", "JOURNAL_MAGIC"]
 
-JOURNAL_MAGIC = b"RPJL1\n"
+JOURNAL_MAGIC = b"RPJL2\n"
 _FRAME_HEADER = struct.Struct("<II")  # payload length, crc32
 
 

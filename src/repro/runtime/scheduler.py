@@ -3,17 +3,16 @@
 :func:`build_task_graph` collects the fine-grained tasks a
 :class:`ProfilePlan` enumerates (:mod:`repro.runtime.tasks`), keyed by
 ``task_id``; each unit-scoped task names its ``(graph, partitioner, k)``
-unit itself (for unit-level accounting and the ``granularity="unit"`` fused
-mode).
+unit itself (for the ``granularity="unit"`` fused mode).
 
 :class:`Scheduler` drives a :class:`TaskGraph` to completion over any
 :class:`~repro.runtime.backends.ExecutorBackend`:
 
 1. :meth:`prepass` — every task is first offered its checkpoint payload,
-   then its artifact-store restore (a warm cache satisfies tasks without
-   dispatch; partition restores stay lazy so large assignments are only
-   loaded when a dependent actually executes).  Partition tasks none of
-   whose dependents will execute are pruned outright.
+   then its artifact-store restore, the task's only store lookup (a warm
+   cache satisfies tasks without dispatch; partition restores stay lazy so
+   large assignments are only loaded when a dependent actually executes).
+   Partition tasks none of whose dependents will execute are pruned.
 2. :meth:`execute` — tasks whose dependencies are satisfied are submitted
    to the backend; each completion may make further tasks ready.
    Completion order is unconstrained — determinism comes from the merge
@@ -22,10 +21,11 @@ mode).
    finished, keeping peak memory proportional to partitions in flight
    instead of the whole grid.
 
-Checkpointing happens at task granularity: scalar payloads (properties,
-quality, timing, processing) are incrementally pickled, so a resumed run
-skips completed tasks mid-unit — including wall-clock timing samples, which
-the artifact cache deliberately never holds.
+Each task gets one disposition, which the run statistics count.
+Checkpointing happens at task granularity: the scalar payloads executed
+since the last flush go to ``on_checkpoint``, so a resumed run skips
+completed tasks mid-unit — including wall-clock timing samples, which the
+artifact cache deliberately never holds.
 """
 
 from __future__ import annotations
@@ -80,12 +80,11 @@ class SchedulerOutcome:
     ``payloads`` maps task ids to their payloads; partition payloads that
     were released (all consumers done, or pruned) hold the lazy marker or
     are absent.  ``dispositions`` maps every task id to ``executed`` /
-    ``checkpoint`` / ``cache`` / ``pruned``.
+    ``checkpoint`` / ``cache`` / ``pruned`` (or a failure disposition).
     """
 
     payloads: Dict[TaskId, Any] = field(default_factory=dict)
     dispositions: Dict[TaskId, str] = field(default_factory=dict)
-    partitions_computed: int = 0
     #: Failure-policy accounting: tasks resubmitted after a failed attempt,
     #: driver-side deadline expiries, and the quarantine records of tasks
     #: that exhausted their retry budget (their dependents are ``skipped``).
@@ -104,11 +103,11 @@ class Scheduler:
     store:
         Artifact store consulted in the pre-pass (and by inline execution).
     checkpoint:
-        Mutable dict of previously completed task payloads; newly executed
-        checkpointable payloads are added to it.
+        Payloads of previously completed tasks (read, never modified).
     on_checkpoint:
-        Called with the checkpoint dict every ``checkpoint_every`` newly
-        executed tasks (and once at the end if anything new completed).
+        Called with the checkpointable payloads executed since its last
+        call, once ``checkpoint_every`` of them are pending (and once at
+        the end if any are).
     granularity:
         ``"task"`` dispatches each task separately (intra-unit parallelism);
         ``"unit"`` fuses the unexecuted tasks of each work unit into one
@@ -132,13 +131,13 @@ class Scheduler:
         self.store = store
         self.checkpoint = checkpoint if checkpoint is not None else {}
         self.on_checkpoint = on_checkpoint
+        self._unsaved: Dict[TaskId, Any] = {}
         self.checkpoint_every = checkpoint_every
         self.granularity = granularity
         self.policy = policy if policy is not None else FailurePolicy()
         self.outcome = SchedulerOutcome()
         self._schedulable: List = []
         self._consumers_left: Dict[TaskId, int] = {}
-        self._done: Set[TaskId] = set()
         registry = get_registry()
         self._tasks_counter = registry.counter(
             "runtime_tasks_total",
@@ -219,7 +218,7 @@ class Scheduler:
         ready = deque()
         for task in self._schedulable:
             missing = [dep for dep in task.dependencies
-                       if dep not in self._done]
+                       if dep not in self.outcome.dispositions]
             if missing:
                 remaining_deps[task.task_id] = len(missing)
                 for dep in missing:
@@ -236,7 +235,6 @@ class Scheduler:
         failures: Dict[TaskId, int] = {}
         retry_heap: List[Tuple[float, int, Any]] = []
         retry_seq = 0
-        executed_since_checkpoint = 0
         try:
             while ready or in_flight or retry_heap:
                 now = time.monotonic()
@@ -297,7 +295,6 @@ class Scheduler:
                 for member_id, member_payload in member_payloads.items():
                     self._record(member_id, DISPOSITION_EXECUTED,
                                  member_payload)
-                    executed_since_checkpoint += 1
                 for dep in task.input_dependencies:
                     self._release_consumer(dep)
                 for member_id in member_payloads:
@@ -307,14 +304,16 @@ class Scheduler:
                         remaining_deps[dependent.task_id] -= 1
                         if remaining_deps[dependent.task_id] == 0:
                             ready.append(dependent)
-                if (self.on_checkpoint is not None
-                        and executed_since_checkpoint >= self.checkpoint_every):
-                    self.on_checkpoint(self.checkpoint)
-                    executed_since_checkpoint = 0
+                if len(self._unsaved) >= self.checkpoint_every:
+                    self._flush_checkpoint()
         finally:
-            if self.on_checkpoint is not None and executed_since_checkpoint:
-                self.on_checkpoint(self.checkpoint)
+            self._flush_checkpoint()
         return self.outcome
+
+    def _flush_checkpoint(self) -> None:
+        if self._unsaved:
+            self.on_checkpoint(self._unsaved)
+            self._unsaved = {}
 
     # ------------------------------------------------------------------ #
     # Failure policy
@@ -427,12 +426,6 @@ class Scheduler:
                              if isinstance(dependent, FusedTask)
                              else (dependent_id,))
 
-    def run(self, backend: ExecutorBackend) -> SchedulerOutcome:
-        """Convenience: :meth:`prepass` then :meth:`execute` on ``backend``
-        (the backend must already be started with all plan graphs)."""
-        self.prepass()
-        return self.execute(backend)
-
     # ------------------------------------------------------------------ #
     def _fuse_units(self, to_execute: List[TaskId]) -> List:
         """Group the unexecuted tasks of each unit into fused envelopes."""
@@ -454,19 +447,17 @@ class Scheduler:
                 payload: Any) -> None:
         self.outcome.dispositions[task_id] = disposition
         self._tasks_counter.labels(task_id[0], disposition).inc()
-        self._done.add(task_id)
         if disposition == DISPOSITION_PRUNED:
             return
         task = self.graph.tasks[task_id]
         if disposition == DISPOSITION_EXECUTED:
-            if task.checkpointable:
-                self.checkpoint[task_id] = payload
-            if task_id[0] == "partition":
-                self.outcome.partitions_computed += payload["computed"]
-                if self._consumers_left.get(task_id, 0) == 0:
-                    # No scheduled consumer (all dependents ran fused in the
-                    # same envelope): don't retain the assignment.
-                    payload = LAZY_RESTORE
+            if task.checkpointable and self.on_checkpoint is not None:
+                self._unsaved[task_id] = payload
+            if (task_id[0] == "partition"
+                    and self._consumers_left.get(task_id, 0) == 0):
+                # No scheduled consumer (all dependents ran fused in the
+                # same envelope): don't retain the assignment.
+                payload = LAZY_RESTORE
         self.outcome.payloads[task_id] = payload
 
     # ------------------------------------------------------------------ #
@@ -481,11 +472,10 @@ class Scheduler:
     def _input_payload(self, dep: TaskId) -> Any:
         payload = self.outcome.payloads.get(dep)
         if payload is LAZY_RESTORE:
-            assignment = self.store.get(dep)
-            if assignment is None:
+            payload = self.store.get(dep)
+            if payload is None:
                 raise RuntimeError(f"artifact for {dep!r} vanished from the "
                                    "store between pre-pass and dispatch")
-            payload = {"assignment": assignment, "computed": 0}
             self.outcome.payloads[dep] = payload
         if payload is None:
             raise RuntimeError(f"dependency {dep!r} has no payload")

@@ -27,10 +27,11 @@ sequenced after its partition (wall-clock measurements should not contend
 with the partitioner run) but never ships the assignment across a process
 boundary.
 
-Execution happens through :func:`execute_task`, the single entry point every
+A task's one artifact lookup is its ``restore``, called by the scheduler's
+pre-pass; ``execute`` runs only when that missed, computes, ``put``s and
+returns the bare payload.  Execution happens through :func:`execute_task`, the single entry point every
 backend uses — inline, in a pool worker, or in an external ``repro worker``
-process.  Each ``execute`` consults the artifact store first, so warm caches
-short-circuit at task granularity.
+process.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..graph import Graph, properties_artifact_key
+from ..graph import Graph, GraphProperties, properties_artifact_key
 from ..processing import ClusterSpec
 from .artifacts import ArtifactStore
 
@@ -75,8 +76,7 @@ class _UnitTask:
 
     @property
     def unit_key(self) -> Tuple[str, str, int]:
-        """The unit this task belongs to: what unit-granular dispatch fuses
-        and the unit counters of the run statistics group by."""
+        """The unit unit-granular dispatch fuses this task into."""
         return (self.graph_fingerprint, self.partitioner,
                 self.num_partitions)
 
@@ -95,10 +95,8 @@ class _UnitTask:
         """
         from ..partitioning import EdgePartition
 
-        payload = inputs.get(self.partition_task_id)
-        if payload is not None:
-            assignment = payload["assignment"]
-        else:
+        assignment = inputs.get(self.partition_task_id)
+        if assignment is None:
             assignment = store.get(self.partition_task_id)
             if assignment is None:
                 raise RuntimeError("partition artifact missing for task "
@@ -138,25 +136,16 @@ class PropertiesTask:
     input_dependencies = ()
     checkpointable = True
 
-    def restore(self, store: ArtifactStore) -> Optional[Dict[str, Any]]:
-        cached = store.get(self.task_id)
-        if cached is None:
-            return None
-        return {"properties": cached, "computed": 0}
+    def restore(self, store: ArtifactStore) -> Optional[GraphProperties]:
+        return store.get(self.task_id)
 
     def execute(self, graph: Graph, store: ArtifactStore,
-                inputs: Dict[TaskId, Any]) -> Dict[str, Any]:
+                inputs: Dict[TaskId, Any]) -> GraphProperties:
         from ..graph import compute_properties
 
-        cached = store.get(self.task_id)
-        if cached is not None:
-            return {"properties": cached, "computed": 0}
-        properties = compute_properties(graph,
-                                        exact_triangles=self.exact_triangles,
-                                        seed=self.seed, mode=self.mode,
-                                        wedge_budget=self.wedge_budget)
-        store.put(self.task_id, properties)
-        return {"properties": properties, "computed": 1}
+        return store.put(self.task_id, compute_properties(
+            graph, exact_triangles=self.exact_triangles, seed=self.seed,
+            mode=self.mode, wedge_budget=self.wedge_budget))
 
 
 @dataclass(frozen=True)
@@ -196,16 +185,12 @@ class PartitionTask(_UnitTask):
         return LAZY_RESTORE if store.verify(self.task_id) else None
 
     def execute(self, graph: Graph, store: ArtifactStore,
-                inputs: Dict[TaskId, Any]) -> Dict[str, Any]:
+                inputs: Dict[TaskId, Any]) -> np.ndarray:
         from ..partitioning import create_partitioner
 
-        assignment = store.get(self.task_id)
-        if assignment is not None:
-            return {"assignment": assignment, "computed": 0}
         partitioner = create_partitioner(self.partitioner, seed=self.seed)
         partition = partitioner(graph, self.num_partitions)
-        store.put(self.task_id, partition.assignment)
-        return {"assignment": partition.assignment, "computed": 1}
+        return store.put(self.task_id, partition.assignment)
 
 
 @dataclass(frozen=True)
@@ -239,9 +224,6 @@ class QualityTask(_UnitTask):
                 inputs: Dict[TaskId, Any]) -> Dict[str, float]:
         from ..partitioning import compute_quality_metrics
 
-        cached = store.get(self.task_id)
-        if cached is not None:
-            return cached
         partition = self._resolve_partition(graph, store, inputs)
         return store.put(self.task_id,
                          compute_quality_metrics(partition).as_dict())
@@ -324,16 +306,13 @@ class PartitionTimeTask(_UnitTask):
             return {"seconds": float(samples.mean()),
                     "seconds_std": float(samples.std()),
                     "repeats": int(samples.size)}
-        key = self._store_key(graph_name)
-        seconds = store.get(key)
-        if seconds is None:
-            # The simulated run-time jitters deterministically per graph
-            # *name*; evaluate the cost model under the name of the corpus
-            # entry that asked, not of the representative graph object.
-            seconds = PartitioningCostModel().estimate_seconds(
-                graph, self.partitioner, self.num_partitions,
-                graph_name=graph_name)
-            store.put(key, seconds)
+        # The simulated run-time jitters deterministically per graph *name*;
+        # evaluate the cost model under the name of the corpus entry that
+        # asked, not of the representative graph object.
+        seconds = store.put(self._store_key(graph_name),
+                            PartitioningCostModel().estimate_seconds(
+                                graph, self.partitioner, self.num_partitions,
+                                graph_name=graph_name))
         return {"seconds": seconds, "seconds_std": 0.0, "repeats": 1}
 
 
@@ -375,9 +354,6 @@ class ProcessingTask(_UnitTask):
                 inputs: Dict[TaskId, Any]) -> Dict[str, Any]:
         from ..processing import ProcessingEngine, create_algorithm
 
-        cached = store.get(self.task_id)
-        if cached is not None:
-            return cached
         partition = self._resolve_partition(graph, store, inputs)
         engine = ProcessingEngine(self.cluster)
         algorithm = create_algorithm(self.algorithm, seed=self.seed)

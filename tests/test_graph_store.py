@@ -476,6 +476,32 @@ class TestGraphCLI:
             assert graph_fingerprint(graph) in out
             assert str(graph.num_edges) in out
 
+    def test_format_1_entry_is_named_not_hidden(self, tmp_path, capsys):
+        store = GraphStore(str(tmp_path / "store"))
+        store.save(_sample_graph())
+        old = store.path_for(store.save(generate_rmat(48, 220, seed=5)))
+        meta_path = os.path.join(old, "meta.json")
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        meta["format_version"] = 1
+        with open(meta_path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+
+        assert main(["graph", "ls", "--store", store.root]) == 0
+        out = capsys.readouterr().out
+        unreadable = [line for line in out.splitlines()
+                      if line.startswith("unreadable")]
+        assert len(unreadable) == 1
+        assert old in unreadable[0] and "format version 1" in unreadable[0]
+        assert "2 graphs" in out  # usage still counts the entry's bytes
+
+        for command in (["profile", "--output", str(tmp_path / "p.pkl")],
+                        ["properties", "--output", str(tmp_path / "props")]):
+            with pytest.raises(SystemExit) as exited:
+                main(command + ["--graph-store", store.root])
+            assert old in str(exited.value)
+            assert "format version 1" in str(exited.value)
+
     def test_ls_missing_store(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["graph", "ls", "--store", str(tmp_path / "nope")])

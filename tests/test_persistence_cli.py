@@ -5,6 +5,7 @@ import pytest
 
 from repro.generators import generate_rmat
 from repro.graph import GraphStore, write_edge_list
+from repro.partitioning import ALL_PARTITIONER_NAMES
 from repro.ease import EASE, GraphProfiler, ProfileDataset
 from repro.ease.persistence import (
     load_dataset,
@@ -142,3 +143,64 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["profile", "--graph-store", str(empty),
                   "--output", str(tmp_path / "p.pkl")])
+
+    def test_documented_session_selects_a_profiled_partitioner(self, tmp_path,
+                                                               capsys):
+        # The session of the cli.py docstring and CI: a trained system
+        # ranks only the partitioners its profile holds.
+        graphs = str(tmp_path / "graphs")
+        assert main(["generate", "--output", graphs, "--max-graphs", "4",
+                     "--scale", "0.000002"]) == 0
+        profile_path = str(tmp_path / "profile.pkl")
+        profiled = ["2d", "dbh", "hdrf", "ne"]
+        assert main(["profile", "--graph-store", graphs,
+                     "--output", profile_path,
+                     "--partitioners", *profiled,
+                     "--algorithms", "pagerank", "connected_components",
+                     "--partition-counts", "2", "4",
+                     "--processing-partitions", "2"]) == 0
+        model_path = str(tmp_path / "ease.pkl")
+        assert main(["train", "--profile", profile_path,
+                     "--output", model_path]) == 0
+        assert load_ease(model_path).partitioner_names == profiled
+        entry = GraphStore(graphs).list()[0].path
+        capsys.readouterr()
+        assert main(["select", "--model", model_path, "--graph", entry,
+                     "--algorithm", "pagerank", "--partitions", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        selected = next(line for line in lines
+                        if line.startswith("selected partitioner:"))
+        assert selected.split(":")[1].strip() in profiled
+        header = next(index for index, line in enumerate(lines)
+                      if line.startswith("partitioner"))
+        assert sorted(line.split()[0] for line in lines[header + 1:]) \
+            == sorted(profiled)
+
+
+class TestTrainedCandidates:
+    def test_unprofiled_partitioner_is_refused_by_name(self, small_profile):
+        with pytest.raises(ValueError, match="hdrf"):
+            EASE(partitioner_names=("2d", "hdrf")).train(small_profile)
+
+    def test_default_candidates_are_the_profiled_ones(self, small_profile):
+        # ALL_PARTITIONER_NAMES order, not the profiler's ("2d", "dbh", "ne").
+        system = EASE().train(small_profile)
+        assert system.partitioner_names == [
+            name for name in ALL_PARTITIONER_NAMES
+            if name in ("2d", "dbh", "ne")]
+        assert system.selector.partitioner_names == system.partitioner_names
+
+    def test_full_profile_bundle_is_unchanged(self, tmp_path):
+        profiler = GraphProfiler(partition_counts=(2,),
+                                 processing_partition_count=2,
+                                 algorithms=("pagerank",))
+        graphs = [generate_rmat(64, 300 + 50 * s, seed=s, graph_type="rmat")
+                  for s in range(3)]
+        dataset = profiler.profile(graphs, graphs)
+        implicit, explicit = (str(tmp_path / "implicit.pkl"),
+                              str(tmp_path / "explicit.pkl"))
+        save_ease(EASE().train(dataset), implicit)
+        save_ease(EASE(partitioner_names=ALL_PARTITIONER_NAMES).train(
+            dataset), explicit)
+        with open(implicit, "rb") as left, open(explicit, "rb") as right:
+            assert left.read() == right.read()

@@ -122,7 +122,7 @@ class TestParallelCachedParity:
         assert_datasets_identical(warm.profile(graphs, graphs), reference)
         stats = warm.last_run_stats
         assert stats.partitions_computed == 0
-        assert stats.executed_units == 0
+        assert stats.executed_tasks == 0
         assert stats.cache_hit_rate() == 1.0
 
     def test_train_from_graphs_parallel_equals_sequential(self, graphs):
@@ -156,9 +156,11 @@ class TestCheckpointResume:
                           "partitioning_time_task"):
                 unit_tasks.setdefault(tuple(key[1:4]), []).append(key)
         dropped = sorted(unit_tasks)[::2]
+        dropped_tasks = 0
         for unit_key in dropped:
             for key in unit_tasks[unit_key]:
                 del payloads[key]
+                dropped_tasks += 1
         CheckpointJournal(checkpoint).rewrite(payloads)
 
         resumed_profiler = make_profiler()
@@ -166,8 +168,11 @@ class TestCheckpointResume:
                                            checkpoint_path=checkpoint)
         assert_datasets_identical(resumed, reference)
         stats = resumed_profiler.last_run_stats
-        assert stats.checkpoint_units == len(unit_tasks) - len(dropped)
-        assert stats.executed_units == len(dropped)
+        # Every journaled task resumes; a dropped unit re-runs its tasks
+        # plus the one partition they consume.
+        assert stats.checkpoint_tasks == len(payloads)
+        assert stats.partitions_computed == len(dropped)
+        assert stats.executed_tasks == dropped_tasks + len(dropped)
 
     def test_resume_mid_unit_skips_completed_tasks(self, graphs, reference,
                                                    tmp_path):
@@ -190,7 +195,7 @@ class TestCheckpointResume:
         assert_datasets_identical(resumed, reference)
         stats = resumed_profiler.last_run_stats
         processing_units = len(graphs) * len(PARTITIONERS)
-        assert stats.executed_units == processing_units
+        assert stats.checkpoint_tasks == len(payloads)
         assert stats.executed_tasks == len(dropped) + processing_units
         assert stats.partitions_computed == processing_units
 
@@ -283,7 +288,6 @@ class TestPartialDatasetPersistence:
 #: The ``run`` object of ``repro profile --stats-json``: a file format, so
 #: spelled out here rather than derived from the dataclass that writes it.
 STATS_JSON_RUN_KEYS = {
-    "total_units", "executed_units", "cache_hit_units", "checkpoint_units",
     "cache_hit_rate", "partitions_computed", "partition_slots_enumerated",
     "unique_partition_jobs", "duplicate_partitions_avoided",
     "properties_total", "properties_computed", "total_tasks",

@@ -10,8 +10,9 @@ The contracts under test:
   crash/requeue in the worker queue;
 * wall-clock timing records carry mean/std/repeats and resume from
   task-level checkpoints;
-* the artifact store enforces its size bound in LRU order and ``cache gc``
-  reports reclaimed bytes.
+* the scheduler's pre-pass is a task's only artifact lookup;
+* ``gc`` shrinks the artifact store in LRU order and ``cache gc`` reports
+  reclaimed bytes.
 """
 
 import os
@@ -376,11 +377,12 @@ class TestCacheLifecycle:
             time.sleep(0.002)  # distinct mtimes for a stable LRU order
 
     def test_max_bytes_evicts_least_recently_used(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), max_bytes=5000)
+        store = ArtifactStore(str(tmp_path))
         self._fill(store, 8)
+        report = store.gc(max_bytes=5000)
         usage = store.disk_usage()
         assert usage["bytes"] <= 5000
-        assert store.evicted_files > 0
+        assert report["removed_files"] > 0
         # The newest artifacts survive.
         assert store.path_for(("quality", "artifact-007")) is not None
         assert os.path.exists(store.path_for(("quality", "artifact-007")))
@@ -453,6 +455,35 @@ class TestCacheLifecycle:
         again = again_profiler.profile(graphs, graphs)
         assert_datasets_identical(again, reference)
         assert again_profiler.last_run_stats.executed_tasks > 0
+
+
+# --------------------------------------------------------------------------- #
+# One artifact lookup per task
+# --------------------------------------------------------------------------- #
+def _artifact_misses():
+    from repro.obs import get_registry
+
+    family = get_registry().get("artifact_store_misses_total")
+    return family.value if family is not None else 0.0
+
+
+@pytest.mark.parametrize("cached", (False, True))
+def test_cold_profile_looks_each_task_up_once(cached, tmp_path):
+    # 2 graphs x {2d, hdrf} x k in {2, 4}: 8 partition, 8 quality, 8 timing
+    # and 4 processing tasks plus 2 properties tasks.  The pre-pass looks
+    # up the 22 non-partition tasks (partitions are checked with ``verify``,
+    # which counts nothing); executing a task must not look it up again.
+    corpus = [generate_rmat(200, 1500, seed=seed, name=f"g{seed}")
+              for seed in (0, 1)]
+    profiler = GraphProfiler(
+        partitioner_names=["2d", "hdrf"], partition_counts=(2, 4),
+        processing_partition_count=2, algorithms=["pagerank"],
+        cache_dir=str(tmp_path / "cache") if cached else None)
+    before = _artifact_misses()
+    profiler.profile(corpus, corpus)
+    stats = profiler.last_run_stats
+    assert stats.executed_tasks == stats.total_tasks == 30
+    assert _artifact_misses() - before == 22
 
 
 # --------------------------------------------------------------------------- #

@@ -267,13 +267,13 @@ class TestModeCacheSeparation:
         task = PropertiesTask(graph_fingerprint(graph), True, 0,
                               mode="approximate",
                               wedge_budget=SMALL_BUDGET)
+        assert task.restore(store) is None
         result = task.execute(graph, store, {})
-        assert result["computed"] == 1
         reference, _ = approximate_properties(graph,
                                               wedge_budget=SMALL_BUDGET)
-        assert result["properties"].mean_triangles == pytest.approx(
+        assert result.mean_triangles == pytest.approx(
             reference.mean_triangles)
-        assert task.restore(store)["properties"] is result["properties"]
+        assert task.restore(store) is result
 
 
 class TestPropertiesCLI:
