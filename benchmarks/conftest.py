@@ -26,6 +26,7 @@ from repro.generators import (  # noqa: E402
     rmat_large_grid,
 )
 from repro.ease import EASE, GraphProfiler  # noqa: E402
+from repro.partitioning import ALL_PARTITIONER_NAMES  # noqa: E402
 
 #: Scale factors: Table I grids scaled so the largest graphs have a few
 #: thousand edges (laptop scale).
@@ -133,7 +134,8 @@ def trained_ease(quality_training_records, runtime_training_records):
     run-times from R-MAT-LARGE), as in the paper."""
     def build():
         dataset = quality_training_records
-        system = EASE()
+        # train() is bypassed, so name the candidates it would resolve.
+        system = EASE(partitioner_names=ALL_PARTITIONER_NAMES)
         system.quality_predictor.fit(dataset.quality)
         system.partitioning_time_predictor.fit(
             runtime_training_records.partitioning_time)

@@ -89,12 +89,12 @@ class ProfileRunStats:
     """Task-level accounting of one profiling run.
 
     ``cache_hit_tasks`` counts store restores plus partitions pruned
-    because nothing consumed them.  ``partition_slots_enumerated`` counts grid slots as the sequential
-    profiler would execute them (one partitioning each);
-    ``unique_partition_jobs`` counts the partition tasks left after
-    content-addressing; ``partitions_computed`` and ``properties_computed``
-    count the executed partition and properties tasks (0 on a fully warm
-    cache).
+    because nothing consumed them.  ``partition_slots_enumerated`` counts
+    grid slots as the sequential profiler would execute them (one
+    partitioning each); ``unique_partition_jobs`` counts the partition
+    tasks left after content-addressing; ``partitions_computed`` and
+    ``properties_computed`` count the executed partition and properties
+    tasks (0 on a fully warm cache).
     """
 
     partitions_computed: int = 0

@@ -29,9 +29,9 @@ boundary.
 
 A task's one artifact lookup is its ``restore``, called by the scheduler's
 pre-pass; ``execute`` runs only when that missed, computes, ``put``s and
-returns the bare payload.  Execution happens through :func:`execute_task`, the single entry point every
-backend uses — inline, in a pool worker, or in an external ``repro worker``
-process.
+returns the bare payload.  Execution happens through :func:`execute_task`,
+the single entry point every backend uses — inline, in a pool worker, or in
+an external ``repro worker`` process.
 """
 
 from __future__ import annotations
