@@ -3,7 +3,8 @@
 The robustness claim of the failure-policy layer (``repro.faults``) is that
 a profiling run under injected crashes, torn writes, transient errors and
 delays produces a profile **record-identical** to the fault-free baseline —
-retries, stale-claim requeues with heartbeat vetoes, checkpoint repair and
+retries, stale-claim requeues (a claim untouched by its worker's heartbeat
+for ``heartbeat_timeout`` goes back to the queue), checkpoint repair and
 corrupt-artifact discards absorb every fault — while genuinely poisoned
 tasks are *quarantined* (bounded retries, dependents skipped, the failure
 reported) instead of retried forever.  On the serving side, a stalled
@@ -55,6 +56,7 @@ from repro.faults import (  # noqa: E402
 )
 from repro.generators import generate_rmat  # noqa: E402
 from repro.ease import EASE, GraphProfiler  # noqa: E402
+from repro.obs import get_registry  # noqa: E402
 from repro.runtime import (  # noqa: E402
     ProfileExecutor,
     WorkerPoolBackend,
@@ -74,7 +76,8 @@ PARTITIONERS = ("2d", "dbh")
 CHAOS_PLAN = ",".join([
     "worker.execute:error:2",        # transient task failure -> retried
     "worker.execute:crash:4",        # worker dies mid-run -> respawned,
-                                     # claim requeued after heartbeat lapse
+                                     # claim requeued once its mtime (the
+                                     # worker's heartbeat) goes stale
     "artifact.write:torn:3",         # torn cache write -> read as a miss
     "checkpoint.append:torn:1",      # torn journal frame -> repaired
     "queue.ack:torn:1",              # torn result file -> task respooled
@@ -111,8 +114,15 @@ def run_baseline(graphs):
     return dataset, time.perf_counter() - started
 
 
+def _requeued_total():
+    family = get_registry().get("runtime_requeued_tasks_total")
+    return 0 if family is None else int(family.value)
+
+
 def run_chaos(graphs, reference, workdir):
-    """The same profiling plan under the chaos fault plan, on real workers."""
+    """The same profiling plan under the chaos fault plan, on real workers;
+    also returns how many stale claims the driver requeued."""
+    requeued_before = _requeued_total()
     state_dir = os.path.join(workdir, "faults-state")
     queue_dir = os.path.join(workdir, "queue")
     install_plan(FaultPlan.parse(CHAOS_PLAN, seed=1234), state_dir=state_dir)
@@ -120,8 +130,7 @@ def run_chaos(graphs, reference, workdir):
         plan = make_profiler().build_plan(graphs, graphs)
         backend = WorkerPoolBackend(queue_dir, spawn_workers=2,
                                     poll_interval=0.01,
-                                    stale_claim_timeout=2.0,
-                                    heartbeat_timeout=1.0)
+                                    heartbeat_timeout=2.0)
         executor = ProfileExecutor(
             backend=backend,
             cache_dir=os.path.join(workdir, "cache"),
@@ -137,7 +146,7 @@ def run_chaos(graphs, reference, workdir):
     fired = sorted(name for name in os.listdir(state_dir)
                    if name.startswith("fired-")) \
         if os.path.isdir(state_dir) else []
-    return dataset, stats, elapsed, fired
+    return dataset, stats, elapsed, fired, _requeued_total() - requeued_before
 
 
 def run_poison(graphs):
@@ -199,7 +208,7 @@ def run(quick=False):
     workdir = tempfile.mkdtemp(prefix="bench-fault-recovery-")
     try:
         reference, baseline_seconds = run_baseline(graphs)
-        chaos_dataset, chaos_stats, chaos_seconds, fired = \
+        chaos_dataset, chaos_stats, chaos_seconds, fired, requeued = \
             run_chaos(graphs, reference, workdir)
         quarantine = run_poison(graphs)
         slow, failing, metrics, service = run_serving(graphs[:2])
@@ -228,6 +237,9 @@ def run(quick=False):
         ("chaos_faults_fired", len(fired) >= 3,
          f"{len(fired)}/{CHAOS_PLAN.count(',') + 1} one-shot chaos faults "
          f"fired ({', '.join(fired)})"),
+        ("chaos_crash_requeued", requeued >= 1,
+         f"{requeued} stale claims requeued (want >= 1: the crashed "
+         f"worker's claim)"),
         ("poison_quarantined", quarantine is not None,
          "poisoned task kind raised QuarantineError"),
         ("poison_records", quarantine is not None
@@ -254,7 +266,7 @@ def run(quick=False):
             ["chaos (2 workers + fault plan)", f"{chaos_seconds:.2f}",
              f"retries={chaos_stats.retried_tasks} "
              f"deadline_expiries={chaos_stats.deadline_failures} "
-             f"fired={len(fired)}"],
+             f"requeued={requeued} fired={len(fired)}"],
             ["poison", "-",
              "-" if quarantine is None else
              f"{len(quarantine.records)} quarantined, "

@@ -352,7 +352,8 @@ def _command_graph_ls(args: argparse.Namespace) -> int:
               f"{info.graph_type:10s} {info.num_vertices:10d} "
               f"{info.num_edges:12d} {info.nbytes:14d}")
     usage = store.disk_usage()
-    print(f"{usage['graphs']} graphs, {usage['bytes']} bytes on disk")
+    print(f"{len(infos)} graphs, {len(unreadable)} unreadable, "
+          f"{usage['bytes']} bytes on disk")
     return 0
 
 
@@ -756,9 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after this many tasks (default: serve "
                              "until the queue's stop sentinel appears)")
     worker.add_argument("--heartbeat-interval", type=float, default=1.0,
-                        help="seconds between worker heartbeat-file "
-                             "refreshes (drivers veto stale-claim requeues "
-                             "while the heartbeat is fresh; default 1.0)")
+                        help="seconds between touches of the claimed "
+                             "task's mtime, the worker's heartbeat; keep it "
+                             "well under the driver's heartbeat timeout "
+                             "(default 1.0)")
     worker.add_argument("--drain", action="store_true",
                         help="exit as soon as the queue is empty instead of "
                              "waiting for the stop sentinel")

@@ -46,13 +46,10 @@ class FailurePolicy:
     default_task_deadline:
         Deadline for kinds not listed in ``task_deadlines``; ``None``
         means no deadline.
-    heartbeat_interval_seconds:
-        Cadence at which queue workers refresh their heartbeat file and
-        the mtime of their claimed task.
     heartbeat_timeout_seconds:
-        A claim whose owning worker heartbeated within this window is
-        never requeued by the stale sweep, however old the claim is —
-        live-but-slow beats presumed-dead.
+        A queue claim whose mtime (its worker's heartbeat) is older than
+        this is presumed orphaned and requeued by the driver's stale
+        sweep; spawned workers heartbeat four times per window.
     """
 
     max_attempts: int = 3
@@ -60,7 +57,6 @@ class FailurePolicy:
     backoff_max_seconds: float = 2.0
     task_deadlines: Mapping[str, float] = field(default_factory=dict)
     default_task_deadline: Optional[float] = None
-    heartbeat_interval_seconds: float = 1.0
     heartbeat_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
@@ -75,8 +71,6 @@ class FailurePolicy:
         if (self.default_task_deadline is not None
                 and self.default_task_deadline <= 0):
             raise ValueError("default_task_deadline must be > 0")
-        if self.heartbeat_interval_seconds <= 0:
-            raise ValueError("heartbeat_interval_seconds must be > 0")
         if self.heartbeat_timeout_seconds <= 0:
             raise ValueError("heartbeat_timeout_seconds must be > 0")
 

@@ -44,7 +44,6 @@ Three implementations:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import signal
@@ -301,10 +300,12 @@ class ProcessPoolBackend(ExecutorBackend):
 # --------------------------------------------------------------------------- #
 # Directory-queue worker pool
 # --------------------------------------------------------------------------- #
-_QUEUE_SUBDIRS = ("tasks", "claimed", "results", "graphs", "heartbeats")
+_QUEUE_SUBDIRS = ("tasks", "claimed", "results", "graphs")
 _STOP_SENTINEL = "stop"
 _CONFIG_FILE = "config.pkl"
-_OWNER_SUFFIX = ".owner"
+#: Spawned workers touch their claim this many times per
+#: ``heartbeat_timeout``, so one slow beat never makes a live claim stale.
+_BEATS_PER_TIMEOUT = 4
 
 
 def _task_filename(task_id: TaskId) -> str:
@@ -331,7 +332,8 @@ class WorkerPoolBackend(ExecutorBackend):
                           path, like the queue directory itself), or the
                           pickled edge arrays otherwise
         tasks/<id>.task   spooled envelopes awaiting a worker
-        claimed/<id>.task envelopes currently owned by a worker
+        claimed/<id>.task envelopes currently owned by a worker; the
+                          file's mtime is the owner's heartbeat
         results/<id>.result   acked payloads awaiting collection
         stop              sentinel telling idle workers to exit
 
@@ -341,9 +343,13 @@ class WorkerPoolBackend(ExecutorBackend):
     in any order, and duplicate or foreign acks (a task requeued after a
     worker crash and finished twice, or leftovers of an earlier interrupted
     run) are discarded: only results of currently outstanding task ids are
-    returned.  A worker crash leaves the claim file behind; claims older
-    than ``stale_claim_timeout`` are automatically returned to the queue
-    while the driver waits (tasks are pure, so re-execution is safe), and
+    returned.
+
+    A claim's mtime is the one liveness signal: the owning worker touches
+    it when it claims the task and then every heartbeat interval.  A worker
+    crash leaves the claim file behind and its mtime stops moving; claims
+    untouched for ``heartbeat_timeout`` are returned to the queue while the
+    driver waits (tasks are pure, so re-execution is safe), and
     :meth:`requeue_stale` does the same on demand.
 
     ``spawn_workers > 0`` launches that many local ``repro worker``
@@ -351,20 +357,20 @@ class WorkerPoolBackend(ExecutorBackend):
     convenience path; distributed use starts workers externally against a
     shared directory.  Spawned-worker stderr goes to
     ``queue_dir/worker-<n>.stderr.log`` (an unread pipe would block a
-    chatty worker once the OS buffer fills).
+    chatty worker once the OS buffer fills).  Spawned workers heartbeat
+    every ``heartbeat_timeout / 4`` seconds; external workers set
+    ``repro worker --heartbeat-interval``, which must stay well under the
+    driver's ``heartbeat_timeout``.
     """
 
     name = "worker"
 
     def __init__(self, queue_dir: str, spawn_workers: int = 0,
                  poll_interval: float = 0.02,
-                 stale_claim_timeout: float = 120.0,
                  heartbeat_timeout: float = 10.0,
                  max_respawns: Optional[int] = None) -> None:
         if spawn_workers < 0:
             raise ValueError("spawn_workers must be >= 0")
-        if stale_claim_timeout <= 0:
-            raise ValueError("stale_claim_timeout must be > 0")
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be > 0")
         if max_respawns is not None and max_respawns < 0:
@@ -372,7 +378,6 @@ class WorkerPoolBackend(ExecutorBackend):
         self.queue_dir = queue_dir
         self.spawn_workers = spawn_workers
         self.poll_interval = poll_interval
-        self.stale_claim_timeout = stale_claim_timeout
         self.heartbeat_timeout = heartbeat_timeout
         #: Crashed spawned workers are replaced up to this many times per
         #: run (an injected-crash plan must not strand the queue, but a
@@ -412,8 +417,7 @@ class WorkerPoolBackend(ExecutorBackend):
                                ("results", ".result")):
             directory = self._path(subdir)
             for name in os.listdir(directory):
-                if (name.endswith(suffix) or name.endswith(".tmp")
-                        or name.endswith(_OWNER_SUFFIX)):
+                if name.endswith(suffix) or name.endswith(".tmp"):
                     _remove_quietly(os.path.join(directory, name))
         config: Dict[str, Any] = {"cache_dir": cache_dir}
         plan = active_plan()
@@ -452,7 +456,9 @@ class WorkerPoolBackend(ExecutorBackend):
             return subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "worker",
                  "--queue-dir", self.queue_dir,
-                 "--poll-interval", str(self.poll_interval)],
+                 "--poll-interval", str(self.poll_interval),
+                 "--heartbeat-interval",
+                 str(self.heartbeat_timeout / _BEATS_PER_TIMEOUT)],
                 env=env, stdout=subprocess.DEVNULL, stderr=log_handle)
 
     # ------------------------------------------------------------------ #
@@ -514,7 +520,7 @@ class WorkerPoolBackend(ExecutorBackend):
         claim is already deleted, so no stale sweep will ever retry it)."""
         now = time.monotonic()
         first_seen = self._corrupt_results.setdefault(name, now)
-        window = max(1.0, min(self.stale_claim_timeout, 5.0))
+        window = max(1.0, min(self.heartbeat_timeout, 5.0))
         if now - first_seen < window:
             return
         self._corrupt_results.pop(name, None)
@@ -542,17 +548,17 @@ class WorkerPoolBackend(ExecutorBackend):
     def _sweep_stale_claims(self) -> None:
         """Requeue claims of crashed workers while the driver waits.
 
-        A task held longer than ``stale_claim_timeout`` is assumed orphaned
-        (its worker died mid-task) and returned to ``tasks/`` for a live
-        worker.  Tasks are pure, so the rare double execution of a merely
-        slow task is wasteful but harmless — duplicate acks are filtered by
-        the outstanding-id check above.
+        A claim untouched for ``heartbeat_timeout`` is assumed orphaned (its
+        worker died mid-task) and returned to ``tasks/`` for a live worker.
+        Tasks are pure, so the rare double execution of a task whose worker
+        was merely starved is wasteful but harmless — duplicate acks are
+        filtered by the outstanding-id check above.
         """
         now = time.time()
-        if now - self._last_stale_sweep < self.stale_claim_timeout:
+        if now - self._last_stale_sweep < self.heartbeat_timeout:
             return
         self._last_stale_sweep = now
-        self.requeue_stale(self.stale_claim_timeout)
+        self.requeue_stale(self.heartbeat_timeout)
 
     def _check_spawned_workers(self) -> None:
         """Replace crashed spawned workers (bounded), fail when stranded.
@@ -600,39 +606,14 @@ class WorkerPoolBackend(ExecutorBackend):
                            f"{len(self._outstanding)} tasks are "
                            f"outstanding; last stderr: {stderr_tail}")
 
-    def _owner_heartbeat_fresh(self, claim_path: str, now: float) -> bool:
-        """True if the claim's owning worker heartbeated recently.
-
-        Workers leave a ``<claim>.owner`` sidecar naming their pid and
-        refresh ``heartbeats/<pid>.hb`` (plus the claim mtime) on every
-        heartbeat.  A fresh heartbeat vetoes the requeue however old the
-        claim is: the worker is alive, merely slow, and requeueing would
-        double-execute the task."""
-        owner_path = claim_path + _OWNER_SUFFIX
-        try:
-            with open(owner_path, "r") as handle:
-                pid = handle.read().strip()
-        except OSError:
-            return False
-        if not pid:
-            return False
-        heartbeat_path = self._path("heartbeats", f"{pid}.hb")
-        try:
-            age = now - os.path.getmtime(heartbeat_path)
-        except OSError:
-            return False
-        return age < self.heartbeat_timeout
-
     def requeue_stale(self, max_age_seconds: float = 0.0) -> int:
-        """Return claims older than ``max_age_seconds`` to the task queue.
+        """Return claims whose mtime is older than ``max_age_seconds`` to
+        the task queue.
 
-        Claims whose owner has a fresh heartbeat file are skipped — a
-        live-but-slow worker keeps its claim (see
-        :meth:`_owner_heartbeat_fresh`); only claims of silent (crashed or
-        partitioned-away) workers are requeued."""
+        A live worker touches its claim every heartbeat, so only claims of
+        silent (crashed or partitioned-away) workers age past the bound."""
         claimed_dir = self._path("claimed")
         requeued = 0
-        vetoed = 0
         now = time.time()
         for name in sorted(os.listdir(claimed_dir)):
             if not name.endswith(".task"):
@@ -644,28 +625,18 @@ class WorkerPoolBackend(ExecutorBackend):
                 continue
             if age < max_age_seconds:
                 continue
-            if self._owner_heartbeat_fresh(path, now):
-                vetoed += 1
-                continue
             try:
                 os.rename(path, self._path("tasks", name))
                 requeued += 1
             except OSError:
                 continue
-            _remove_quietly(path + _OWNER_SUFFIX)
         if requeued:
             get_registry().counter(
                 "runtime_requeued_tasks_total",
                 "Stale claims of crashed workers returned to the queue") \
                 .inc(requeued)
             add_event("requeue_stale", {"requeued": requeued,
-                                        "heartbeat_vetoes": vetoed,
                                         "max_age_seconds": max_age_seconds})
-        if vetoed:
-            get_registry().counter(
-                "runtime_requeue_heartbeat_vetoes_total",
-                "Stale-claim requeues vetoed by a fresh worker heartbeat") \
-                .inc(vetoed)
         return requeued
 
     def close(self):
@@ -673,7 +644,7 @@ class WorkerPoolBackend(ExecutorBackend):
 
         The stop sentinel lets idle workers exit on their own; a worker
         still executing gets SIGTERM, which its graceful path turns into
-        "finish the in-flight task, final heartbeat, exit 0" — only a
+        "finish and ack the in-flight task, exit 0" — only a
         worker ignoring that for another grace period is killed."""
         try:
             write_atomic(self._path(_STOP_SENTINEL), b"stop")
@@ -708,9 +679,10 @@ class WorkerPoolBackend(ExecutorBackend):
 def _claim_next(queue_dir: str) -> Optional[str]:
     """Claim one spooled task by atomic rename; return the claimed path.
 
-    The winning worker leaves a ``<claim>.owner`` sidecar naming its pid
-    so the driver's stale sweep can consult the worker's heartbeat file
-    before requeueing the claim.
+    A claim's mtime is its worker's heartbeat, and the rename keeps the
+    mtime of a task spooled long ago.  The task is therefore touched just
+    before the rename: touched after it, a claim would look stale to a
+    driver sweep in between and be requeued the moment it was taken.
     """
     tasks_dir = os.path.join(queue_dir, "tasks")
     claimed_dir = os.path.join(queue_dir, "claimed")
@@ -725,14 +697,10 @@ def _claim_next(queue_dir: str) -> Optional[str]:
         source = os.path.join(tasks_dir, name)
         target = os.path.join(claimed_dir, name)
         try:
+            os.utime(source)
             os.rename(source, target)
         except OSError:
             continue  # another worker won the race
-        try:
-            with open(target + _OWNER_SUFFIX, "w") as handle:
-                handle.write(str(os.getpid()))
-        except OSError:
-            pass  # heartbeat veto degrades to mtime-only staleness
         return target
     return None
 
@@ -766,62 +734,35 @@ def _execute_claim(claimed_path: str, queue_dir: str,
     # mid-ack on a non-atomic filesystem would leave it.
     write_atomic(result_path, tear(data, torn) if torn else data)
     os.remove(claimed_path)
-    _remove_quietly(claimed_path + _OWNER_SUFFIX)
 
 
 class _WorkerHeartbeat:
-    """Background heartbeat of one queue worker.
-
-    Every interval it rewrites ``heartbeats/<pid>.hb`` (freshness is the
-    file mtime; the JSON body aids debugging) and touches the worker's
-    current claim so both the heartbeat veto and the plain mtime-staleness
-    check see a live worker.  ``beat_now`` forces a final beat — the
-    graceful-shutdown marker.
+    """Background heartbeat of one queue worker: every interval it touches
+    the worker's current claim, whose mtime the driver's stale sweep reads.
     """
 
-    def __init__(self, queue_dir: str, interval: float) -> None:
+    def __init__(self, interval: float) -> None:
         self.interval = interval
-        self.path = os.path.join(queue_dir, "heartbeats",
-                                 f"{os.getpid()}.hb")
         self.current_claim: Optional[str] = None
-        self.processed = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="worker-heartbeat")
 
     def start(self) -> None:
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        self.beat_now()
         self._thread.start()
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            self.beat_now()
+            claim = self.current_claim
+            if claim is not None:
+                try:
+                    os.utime(claim)
+                except OSError:
+                    pass  # acked (or requeued) since it was read
 
-    def beat_now(self, stopping: bool = False) -> None:
-        try:
-            payload = json.dumps({"pid": os.getpid(), "time": time.time(),
-                                  "processed": self.processed,
-                                  "claim": self.current_claim,
-                                  "stopping": stopping})
-            # Not write_atomic: a fixed per-pid temp leaves no stray temps.
-            temp_path = self.path + ".tmp"
-            with open(temp_path, "w") as handle:
-                handle.write(payload)
-            os.replace(temp_path, self.path)
-        except OSError:
-            return
-        claim = self.current_claim
-        if claim is not None:
-            try:
-                os.utime(claim)
-            except OSError:
-                pass
-
-    def stop(self, stopping: bool = True) -> None:
+    def stop(self) -> None:
         self._stop.set()
         self._thread.join(timeout=2.0)
-        self.beat_now(stopping=stopping)
 
 
 def run_worker(queue_dir: str, poll_interval: float = 0.05,
@@ -834,11 +775,11 @@ def run_worker(queue_dir: str, poll_interval: float = 0.05,
     is claimable, after ``max_tasks`` tasks, or — with ``stop_when_idle`` —
     as soon as the queue is momentarily empty (drain mode).
 
-    While running it maintains a heartbeat file (and refreshes its current
-    claim's mtime) every ``heartbeat_interval`` seconds, so the driver's
-    stale sweep can tell live-but-slow from dead.  SIGTERM is graceful:
-    the in-flight task is finished and acked, a final heartbeat marks the
-    shutdown, and the worker exits cleanly — no claim is orphaned.
+    While a task runs it touches the claim every ``heartbeat_interval``
+    seconds, so the driver's stale sweep can tell live-but-slow from dead;
+    the interval must stay well under the driver's ``heartbeat_timeout``.
+    SIGTERM is graceful: the in-flight task is finished and acked and the
+    worker exits cleanly — no claim is orphaned.
 
     A fault plan shipped in the queue's ``config.pkl`` (or the
     ``REPRO_FAULTS`` environment) is armed before the first claim.
@@ -867,7 +808,7 @@ def run_worker(queue_dir: str, poll_interval: float = 0.05,
     except ValueError:  # not the main thread (embedded use)
         previous_handler = None
 
-    heartbeat = _WorkerHeartbeat(queue_dir, heartbeat_interval)
+    heartbeat = _WorkerHeartbeat(heartbeat_interval)
     heartbeat.start()
     processed = 0
     try:
@@ -895,7 +836,6 @@ def run_worker(queue_dir: str, poll_interval: float = 0.05,
             try:
                 _execute_claim(claimed, queue_dir, graphs, store)
                 processed += 1
-                heartbeat.processed = processed
             except Exception as error:
                 # The ack itself failed; the claim file stays behind and
                 # the driver's stale sweep will requeue the task.
@@ -905,7 +845,7 @@ def run_worker(queue_dir: str, poll_interval: float = 0.05,
             finally:
                 heartbeat.current_claim = None
     finally:
-        heartbeat.stop(stopping=True)
+        heartbeat.stop()
         if previous_handler is not None:
             try:
                 signal.signal(signal.SIGTERM, previous_handler)

@@ -168,8 +168,8 @@ class ProfileExecutor:
         ``model`` mode, which is deterministic.
     policy:
         :class:`~repro.faults.FailurePolicy` governing retries, backoff,
-        quarantine, per-kind deadlines and worker heartbeats.  ``None``
-        uses the defaults (3 attempts, no deadlines).  A run that
+        quarantine, per-kind deadlines and the worker heartbeat timeout.
+        ``None`` uses the defaults (3 attempts, no deadlines).  A run that
         quarantined tasks raises :class:`~repro.faults.QuarantineError`
         (with the run stats attached) instead of returning a silently
         partial result.
@@ -236,8 +236,8 @@ class ProfileExecutor:
             checkpoint = journal.load()
             on_checkpoint = journal.append
 
-        task_graph = build_task_graph(plan, repeats=self.time_repeats)
-        scheduler = Scheduler(task_graph, store, checkpoint=checkpoint,
+        tasks = build_task_graph(plan, repeats=self.time_repeats)
+        scheduler = Scheduler(tasks, store, checkpoint=checkpoint,
                               on_checkpoint=on_checkpoint,
                               checkpoint_every=self.checkpoint_every,
                               granularity=self.granularity,
@@ -257,7 +257,7 @@ class ProfileExecutor:
                     with span("profile.run",
                               attrs={"backend": backend.name,
                                      "jobs": self.jobs,
-                                     "tasks": len(task_graph.tasks)}):
+                                     "tasks": len(tasks)}):
                         outcome = scheduler.execute(backend)
                 finally:
                     backend.close()
@@ -267,18 +267,18 @@ class ProfileExecutor:
             if temp_queue is not None:
                 shutil.rmtree(temp_queue, ignore_errors=True)
 
-        stats = self._run_stats(plan, task_graph, outcome, backend.name)
+        stats = self._run_stats(plan, tasks, outcome, backend.name)
         if outcome.quarantined:
             # A partial result must not masquerade as a dataset: surface
             # the poisoned tasks (with what *did* run) as an error.
             raise QuarantineError(outcome.quarantined, stats)
-        return self._assemble(task_graph, outcome), stats
+        return self._assemble(tasks, outcome), stats
 
     @staticmethod
-    def _run_stats(plan: ProfilePlan, task_graph, outcome,
+    def _run_stats(plan: ProfilePlan, tasks: Dict[Any, Any], outcome,
                    backend_name: str) -> ProfileRunStats:
         """Tallies of the task kinds and of the dispositions."""
-        kinds = Counter(task_id[0] for task_id in task_graph.tasks)
+        kinds = Counter(task_id[0] for task_id in tasks)
         counts = Counter(outcome.dispositions.values())
         executed = Counter(task_id[0] for task_id, disposition
                            in outcome.dispositions.items()
@@ -289,7 +289,7 @@ class ProfileExecutor:
             unique_partition_jobs=kinds["partition"],
             duplicate_partitions_avoided=slots - kinds["partition"],
             properties_total=kinds["properties"],
-            total_tasks=len(task_graph.tasks),
+            total_tasks=len(tasks),
             executed_tasks=counts[DISPOSITION_EXECUTED],
             checkpoint_tasks=counts[DISPOSITION_CHECKPOINT],
             cache_hit_tasks=(counts[DISPOSITION_CACHE]
@@ -305,11 +305,11 @@ class ProfileExecutor:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _assemble(task_graph, outcome) -> Dict[Any, Any]:
+    def _assemble(tasks: Dict[Any, Any], outcome) -> Dict[Any, Any]:
         """Fold task payloads into per-graph properties and per-unit
         payloads."""
         results: Dict[Any, Any] = {}
-        for task_id, task in task_graph.tasks.items():
+        for task_id, task in tasks.items():
             kind = task_id[0]
             if kind == "properties":
                 results[task.graph_fingerprint] = outcome.payloads[task_id]

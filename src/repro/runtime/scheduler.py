@@ -1,18 +1,21 @@
 """Task-DAG construction and the readiness-tracking scheduler.
 
 :func:`build_task_graph` collects the fine-grained tasks a
-:class:`ProfilePlan` enumerates (:mod:`repro.runtime.tasks`), keyed by
-``task_id``; each unit-scoped task names its ``(graph, partitioner, k)``
-unit itself (for the ``granularity="unit"`` fused mode).
+:class:`ProfilePlan` enumerates (:mod:`repro.runtime.tasks`) into a
+``{task_id: task}`` dict in topological order; each unit-scoped task names
+its ``(graph, partitioner, k)`` unit itself (for the ``granularity="unit"``
+fused mode).
 
-:class:`Scheduler` drives a :class:`TaskGraph` to completion over any
+:class:`Scheduler` drives that task DAG to completion over any
 :class:`~repro.runtime.backends.ExecutorBackend`:
 
-1. :meth:`prepass` — every task is first offered its checkpoint payload,
-   then its artifact-store restore, the task's only store lookup (a warm
-   cache satisfies tasks without dispatch; partition restores stay lazy so
-   large assignments are only loaded when a dependent actually executes).
-   Partition tasks none of whose dependents will execute are pruned.
+1. :meth:`prepass` — every non-partition task is first offered its
+   checkpoint payload, then its artifact-store restore, the task's only
+   store lookup (a warm cache satisfies tasks without dispatch).  A
+   partition task none of whose dependents will execute is pruned without
+   touching the store; only a consumed partition is verified there, and
+   its restore stays lazy so a large assignment is only loaded when a
+   dependent is dispatched.
 2. :meth:`execute` — tasks whose dependencies are satisfied are submitted
    to the backend; each completion may make further tasks ready.
    Completion order is unconstrained — determinism comes from the merge
@@ -44,7 +47,7 @@ from .backends import ExecutorBackend, TaskEnvelope, TaskFailure
 from .jobs import ProfilePlan
 from .tasks import LAZY_RESTORE, FusedTask, TaskId
 
-__all__ = ["TaskGraph", "Scheduler", "SchedulerOutcome", "build_task_graph"]
+__all__ = ["Scheduler", "SchedulerOutcome", "build_task_graph"]
 
 #: How a task was satisfied (per-task dispositions feed the run statistics).
 DISPOSITION_EXECUTED = "executed"
@@ -57,20 +60,14 @@ DISPOSITION_QUARANTINED = "quarantined"
 DISPOSITION_SKIPPED = "skipped"
 
 
-@dataclass
-class TaskGraph:
-    """The fine-grained tasks of one profiling run, in topological order.
+def build_task_graph(plan: ProfilePlan,
+                     repeats: int = 1) -> Dict[TaskId, Any]:
+    """Collect the tasks a plan enumerates into the scheduler's task DAG.
 
-    ``tasks`` preserves construction order, which is a valid topological
+    The dict preserves construction order, which is a valid topological
     order (a partition task always precedes its dependents).
     """
-
-    tasks: Dict[TaskId, Any] = field(default_factory=dict)
-
-
-def build_task_graph(plan: ProfilePlan, repeats: int = 1) -> TaskGraph:
-    """Collect the tasks a plan enumerates into the scheduler's task DAG."""
-    return TaskGraph({task.task_id: task for task in plan.tasks(repeats)})
+    return {task.task_id: task for task in plan.tasks(repeats)}
 
 
 @dataclass
@@ -94,12 +91,13 @@ class SchedulerOutcome:
 
 
 class Scheduler:
-    """Run a :class:`TaskGraph` to completion on an executor backend.
+    """Run a task DAG to completion on an executor backend.
 
     Parameters
     ----------
-    graph:
-        The task DAG (construction order must be topological).
+    tasks:
+        The task DAG, ``{task_id: task}`` as :func:`build_task_graph`
+        returns it (construction order must be topological).
     store:
         Artifact store consulted in the pre-pass (and by inline execution).
     checkpoint:
@@ -117,7 +115,7 @@ class Scheduler:
     the returned fingerprints, then :meth:`execute` it.
     """
 
-    def __init__(self, graph: TaskGraph, store: ArtifactStore,
+    def __init__(self, tasks: Dict[TaskId, Any], store: ArtifactStore,
                  checkpoint: Optional[Dict[TaskId, Any]] = None,
                  on_checkpoint: Optional[Callable] = None,
                  checkpoint_every: int = 16,
@@ -127,7 +125,7 @@ class Scheduler:
             raise ValueError("granularity must be 'task' or 'unit'")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        self.graph = graph
+        self.tasks = tasks
         self.store = store
         self.checkpoint = checkpoint if checkpoint is not None else {}
         self.on_checkpoint = on_checkpoint
@@ -167,8 +165,10 @@ class Scheduler:
         Returns the graph fingerprints of the tasks that still need
         execution (the graphs a backend must be started with).
         """
-        to_execute: List[TaskId] = []
-        for task_id, task in self.graph.tasks.items():
+        to_execute: Set[TaskId] = set()
+        for task_id, task in self.tasks.items():
+            if task_id[0] == "partition":
+                continue  # after its consumers, below
             if task.checkpointable and task_id in self.checkpoint:
                 self._record(task_id, DISPOSITION_CHECKPOINT,
                              self.checkpoint[task_id])
@@ -177,25 +177,29 @@ class Scheduler:
             if restored is not None:
                 self._record(task_id, DISPOSITION_CACHE, restored)
                 continue
-            to_execute.append(task_id)
+            to_execute.add(task_id)
 
         # A partition whose dependents were all satisfied already would be
-        # computed for nobody — drop it (PR 1's fully-cached units behave
-        # the same way; its assignment is not part of any dataset record).
+        # computed (or read) for nobody — drop it without a store lookup
+        # (its assignment is not part of any dataset record).
         consumed: Set[TaskId] = set()
         for task_id in to_execute:
-            consumed.update(self.graph.tasks[task_id].input_dependencies)
-        kept = []
-        for task_id in to_execute:
-            if task_id[0] == "partition" and task_id not in consumed:
+            consumed.update(self.tasks[task_id].input_dependencies)
+        for task_id, task in self.tasks.items():
+            if task_id[0] != "partition":
+                continue
+            if task_id not in consumed:
                 self._record(task_id, DISPOSITION_PRUNED, None)
+            elif task.restore(self.store) is not None:
+                self._record(task_id, DISPOSITION_CACHE, LAZY_RESTORE)
             else:
-                kept.append(task_id)
+                to_execute.add(task_id)
+        kept = [task_id for task_id in self.tasks if task_id in to_execute]
 
         if self.granularity == "unit":
             self._schedulable = self._fuse_units(kept)
         else:
-            self._schedulable = [self.graph.tasks[tid] for tid in kept]
+            self._schedulable = [self.tasks[tid] for tid in kept]
         for task in self._schedulable:
             for dep in task.input_dependencies:
                 self._consumers_left[dep] = (
@@ -432,7 +436,7 @@ class Scheduler:
         groups: Dict[Tuple, List] = {}
         singles: List = []
         for task_id in to_execute:
-            task = self.graph.tasks[task_id]
+            task = self.tasks[task_id]
             unit_key = task.unit_key
             if unit_key is None:
                 singles.append(task)
@@ -449,7 +453,7 @@ class Scheduler:
         self._tasks_counter.labels(task_id[0], disposition).inc()
         if disposition == DISPOSITION_PRUNED:
             return
-        task = self.graph.tasks[task_id]
+        task = self.tasks[task_id]
         if disposition == DISPOSITION_EXECUTED:
             if task.checkpointable and self.on_checkpoint is not None:
                 self._unsaved[task_id] = payload

@@ -166,8 +166,6 @@ ALLOWED = {
     ("atomicfile.py", "write_atomic"),
     # Bundle + manifest are staged in a directory published by one rename.
     ("serving/registry.py", "ModelRegistry.publish"),
-    # A fixed per-pid temp name, so killed workers leave no stray temps.
-    ("runtime/backends.py", "_WorkerHeartbeat.beat_now"),
 }
 
 

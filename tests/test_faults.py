@@ -14,16 +14,18 @@ The contracts under test:
 * the scheduler retries transient task failures to a record-identical
   dataset, quarantines poisoned tasks (skipping their dependents) instead
   of retrying forever, and enforces per-task execution deadlines;
-* worker heartbeats veto the stale-claim sweep while the owner is alive,
-  and SIGTERM drains a worker gracefully (exit 0, final heartbeat).
+* a claim's mtime is its worker's heartbeat: a fresh claim (also of a
+  long-spooled task) survives the stale-claim sweep, an untouched one is
+  requeued by the waiting driver, and SIGTERM drains a worker gracefully
+  (the in-flight task is acked, exit 0).
 """
 
-import json
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -52,7 +54,13 @@ from repro.runtime import (
     WorkerPoolBackend,
     build_dataset,
 )
-from repro.runtime.backends import InlineBackend, _claim_next
+from repro.runtime.backends import (
+    InlineBackend,
+    TaskEnvelope,
+    _WorkerHeartbeat,
+    _claim_next,
+    run_worker,
+)
 from repro.runtime.journal import JOURNAL_MAGIC
 
 PARTITIONERS = ("2d", "dbh")
@@ -240,7 +248,6 @@ class TestFailurePolicy:
         {"backoff_base_seconds": -1},
         {"task_deadlines": {"quality": 0.0}},
         {"default_task_deadline": -2.0},
-        {"heartbeat_interval_seconds": 0.0},
         {"heartbeat_timeout_seconds": 0.0},
     ])
     def test_validation(self, kwargs):
@@ -466,66 +473,151 @@ class TestRetryAndQuarantine:
 # Worker heartbeats and graceful shutdown
 # --------------------------------------------------------------------------- #
 class TestWorkerHeartbeats:
-    def _claim_with_owner(self, queue_dir):
-        with open(os.path.join(queue_dir, "tasks", "abc.task"),
-                  "wb") as handle:
-            pickle.dump({"task_id": ("t",)}, handle)
-        assert _claim_next(queue_dir) is not None
-        return os.path.join(queue_dir, "heartbeats", f"{os.getpid()}.hb")
+    HOUR_AGO = 3600.0
+
+    def _spool(self, backend, task_id=("t",)):
+        backend.submit(TaskEnvelope(task_id=task_id, task=None,
+                                    graph_fingerprint="missing"))
+
+    def _age(self, path):
+        old = time.time() - self.HOUR_AGO
+        os.utime(path, (old, old))
+
+    def _listing(self, queue_dir, subdir):
+        return [name for name in os.listdir(os.path.join(queue_dir, subdir))
+                if name.endswith(".task")]
+
+    def test_claim_of_an_old_task_is_fresh(self, tmp_path):
+        # The rename keeps a long-spooled task's mtime: without the touch at
+        # claim time the next sweep would requeue a claim just taken.
+        queue_dir = str(tmp_path / "queue")
+        backend = WorkerPoolBackend(queue_dir, spawn_workers=0)
+        backend.start({}, None)
+        self._spool(backend)
+        (name,) = self._listing(queue_dir, "tasks")
+        self._age(os.path.join(queue_dir, "tasks", name))
+        claimed = _claim_next(queue_dir)
+        assert claimed is not None
+        assert backend.requeue_stale(backend.heartbeat_timeout) == 0
+        assert self._listing(queue_dir, "claimed") == [name]
 
     def test_fresh_heartbeat_vetoes_the_stale_sweep(self, tmp_path):
         queue_dir = str(tmp_path / "queue")
         backend = WorkerPoolBackend(queue_dir, spawn_workers=0,
                                     heartbeat_timeout=30.0)
         backend.start({}, None)
-        heartbeat_path = self._claim_with_owner(queue_dir)
-        with open(heartbeat_path, "w", encoding="utf-8") as handle:
-            json.dump({"pid": os.getpid(), "time": time.time()}, handle)
-        # The claim is "old" (max_age 0) but its owner is alive: vetoed.
-        assert backend.requeue_stale(max_age_seconds=0.0) == 0
-        assert os.listdir(os.path.join(queue_dir, "tasks")) == []
+        self._spool(backend)
+        claimed = _claim_next(queue_dir)
+        heartbeat = _WorkerHeartbeat(interval=0.01)
+        heartbeat.current_claim = claimed
+        self._age(claimed)
+        heartbeat.start()
+        try:
+            deadline = time.time() + 10.0
+            while time.time() - os.path.getmtime(claimed) > 30.0:
+                assert time.time() < deadline, "heartbeat never touched"
+                time.sleep(0.01)
+            # The owner is alive: its claim stays however long it runs.
+            assert backend.requeue_stale(backend.heartbeat_timeout) == 0
+        finally:
+            heartbeat.stop()
         # The owner stops heartbeating: the same sweep now requeues.
-        stale = time.time() - 3600
-        os.utime(heartbeat_path, (stale, stale))
-        assert backend.requeue_stale(max_age_seconds=0.0) == 1
-        assert os.listdir(os.path.join(queue_dir, "tasks")) == ["abc.task"]
+        self._age(claimed)
+        assert backend.requeue_stale(backend.heartbeat_timeout) == 1
+        assert self._listing(queue_dir, "claimed") == []
+        assert len(self._listing(queue_dir, "tasks")) == 1
 
-    def test_requeue_removes_the_owner_sidecar(self, tmp_path):
+    def test_waiting_driver_requeues_an_untouched_claim(self, tmp_path):
+        queue_dir = str(tmp_path / "queue")
+        backend = WorkerPoolBackend(queue_dir, spawn_workers=0,
+                                    heartbeat_timeout=0.2)
+        backend.start({}, None)
+        self._spool(backend)
+        claimed = _claim_next(queue_dir)
+        self._age(claimed)  # the claiming worker died at once
+        # No ack arrives, but the sweep inside the wait runs every
+        # heartbeat_timeout and hands the claim back to the queue.
+        assert backend.next_completed(timeout=1.0) is None
+        assert self._listing(queue_dir, "claimed") == []
+        assert self._listing(queue_dir, "tasks") == [
+            os.path.basename(claimed)]
+
+    def test_contended_claims_of_old_tasks_are_never_requeued(self,
+                                                               tmp_path):
+        # More claiming workers than cores, a short switch interval and a
+        # sweeper requeueing any claim older than a second: every spooled
+        # task is an hour old, so only the touch at claim time keeps each
+        # claim fresh.  Every task completes exactly once and none returns.
         queue_dir = str(tmp_path / "queue")
         backend = WorkerPoolBackend(queue_dir, spawn_workers=0)
         backend.start({}, None)
-        self._claim_with_owner(queue_dir)  # no heartbeat file at all
-        assert backend.requeue_stale(max_age_seconds=0.0) == 1
-        assert os.listdir(os.path.join(queue_dir, "claimed")) == []
+        task_ids = [("t", index) for index in range(40)]
+        for task_id in task_ids:
+            self._spool(backend, task_id)
+        for name in self._listing(queue_dir, "tasks"):
+            self._age(os.path.join(queue_dir, "tasks", name))
+        requeued = []
+        done = threading.Event()
+
+        def sweep():
+            while not done.is_set():
+                requeued.append(backend.requeue_stale(1.0))
+
+        workers = [threading.Thread(
+            target=run_worker, args=(queue_dir,),
+            kwargs={"poll_interval": 0.001, "stop_when_idle": True,
+                    "heartbeat_interval": 0.01}) for _ in range(4)]
+        sweeper = threading.Thread(target=sweep)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sweeper.start()
+            for worker in workers:
+                worker.start()
+            completed = [backend.next_completed(timeout=30.0)
+                         for _ in task_ids]
+        finally:
+            done.set()
+            sys.setswitchinterval(previous)
+            for thread in workers + [sweeper]:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in workers + [sweeper])
+        assert None not in completed
+        assert sorted(task_id for task_id, _ in completed) == task_ids
+        assert sum(requeued) == 0
+        assert self._listing(queue_dir, "claimed") == []
 
     def test_sigterm_drains_gracefully(self, tmp_path):
         queue_dir = str(tmp_path / "queue")
-        WorkerPoolBackend(queue_dir, spawn_workers=0).start({}, None)
+        backend = WorkerPoolBackend(queue_dir, spawn_workers=0)
+        backend.start({}, None)
+        self._spool(backend)
         import repro
 
         package_root = os.path.dirname(os.path.dirname(
             os.path.abspath(repro.__file__)))
-        env = dict(os.environ, PYTHONPATH=package_root)
+        # The ack of the one task is held back a second, so SIGTERM lands
+        # while it is in flight.
+        env = dict(os.environ, PYTHONPATH=package_root,
+                   REPRO_FAULTS="queue.ack:delay:1:1.0")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "worker",
              "--queue-dir", queue_dir, "--poll-interval", "0.01",
              "--heartbeat-interval", "0.05"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
-        heartbeat_path = os.path.join(queue_dir, "heartbeats",
-                                      f"{process.pid}.hb")
         deadline = time.time() + 30.0
-        while not os.path.exists(heartbeat_path):
-            assert time.time() < deadline, "worker never heartbeated"
+        while not self._listing(queue_dir, "claimed"):
+            assert time.time() < deadline, "worker never claimed the task"
             assert process.poll() is None, "worker died before SIGTERM"
             time.sleep(0.01)
         process.send_signal(signal.SIGTERM)
         output, _ = process.communicate(timeout=30)
         assert process.returncode == 0
-        assert "worker exiting after 0 tasks" in output
-        with open(heartbeat_path, encoding="utf-8") as handle:
-            final = json.load(handle)
-        assert final["stopping"] is True
+        assert "worker exiting after 1 tasks" in output
+        # The in-flight task was acked, not orphaned.
+        assert self._listing(queue_dir, "claimed") == []
+        assert len(os.listdir(os.path.join(queue_dir, "results"))) == 1
 
     def test_crash_fault_exit_code_is_distinct(self, tmp_path):
         code = subprocess.run(

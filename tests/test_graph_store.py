@@ -493,7 +493,9 @@ class TestGraphCLI:
                       if line.startswith("unreadable")]
         assert len(unreadable) == 1
         assert old in unreadable[0] and "format version 1" in unreadable[0]
-        assert "2 graphs" in out  # usage still counts the entry's bytes
+        # Only readable entries count as graphs; the bytes on disk still
+        # include the unreadable entry's files.
+        assert "1 graphs, 1 unreadable, " in out
 
         for command in (["profile", "--output", str(tmp_path / "p.pkl")],
                         ["properties", "--output", str(tmp_path / "props")]):

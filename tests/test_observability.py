@@ -475,8 +475,7 @@ class TestRequeueObservability:
         assert len(events) == 1
         event = events[0]
         assert event["name"] == "requeue_stale"
-        assert event["attrs"] == {"requeued": 1, "heartbeat_vetoes": 0,
-                                  "max_age_seconds": 0.0}
+        assert event["attrs"] == {"requeued": 1, "max_age_seconds": 0.0}
         assert event["span_id"] == root["span_id"]
 
 

@@ -441,7 +441,7 @@ def test_task_ids_are_pinned():
                              algorithms=("pagerank",), seed=7)
     plan = profiler.build_plan(
         [triangle, _renamed(triangle, "twin", "soc"), square], [triangle])
-    task_ids = list(build_task_graph(plan).tasks)
+    task_ids = list(build_task_graph(plan))
     task_ids.append(PropertiesTask("fp", True, 3, mode="approximate",
                                    wedge_budget=500).task_id)
     assert task_ids == PINNED_TASK_IDS

@@ -220,7 +220,7 @@ class TestRuntimePrimitives:
 
     def test_work_units_deduplicate_overlapping_phases(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)
-        tasks = build_task_graph(plan).tasks.values()
+        tasks = build_task_graph(plan).values()
         partitions = [t for t in tasks if t.task_id[0] == "partition"]
         # PROCESSING_K is one of PARTITION_COUNTS: both phases meet in one
         # unit, so the quality grid alone fixes the number of partitions.

@@ -82,9 +82,8 @@ def assert_datasets_identical(actual, expected):
 class TestTaskGraphShape:
     def test_unit_decomposes_into_design_dag(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)
-        task_graph = build_task_graph(plan)
         by_kind = {}
-        for task_id, task in task_graph.tasks.items():
+        for task_id, task in build_task_graph(plan).items():
             by_kind.setdefault(task_id[0], []).append(task)
         units = {task.unit_key for task in by_kind["partition"]}
         assert len(units) == len(graphs) * len(PARTITIONERS)
@@ -99,8 +98,7 @@ class TestTaskGraphShape:
 
     def test_dependencies_point_at_the_partition(self, graphs):
         plan = make_profiler().build_plan(graphs, graphs)
-        task_graph = build_task_graph(plan)
-        for task_id, task in task_graph.tasks.items():
+        for task_id, task in build_task_graph(plan).items():
             kind = task_id[0]
             if kind in ("properties", "partition"):
                 assert task.dependencies == ()
@@ -484,6 +482,41 @@ def test_cold_profile_looks_each_task_up_once(cached, tmp_path):
     stats = profiler.last_run_stats
     assert stats.executed_tasks == stats.total_tasks == 30
     assert _artifact_misses() - before == 22
+
+
+def test_warm_reprofile_reads_no_partition(tmp_path, monkeypatch):
+    # Every consumer of a partition is satisfied from the cache, so the
+    # pre-pass prunes all 8 partitions without unpickling their assignments.
+    corpus = [generate_rmat(200, 1500, seed=seed, name=f"g{seed}")
+              for seed in (0, 1)]
+    cache_dir = str(tmp_path / "cache")
+
+    def make():
+        return GraphProfiler(
+            partitioner_names=["2d", "hdrf"], partition_counts=(2, 4),
+            processing_partition_count=2, algorithms=["pagerank"],
+            cache_dir=cache_dir)
+
+    cold = make().profile(corpus, corpus)
+    partition_dir = os.path.join(cache_dir, "partition")
+    assert len(os.listdir(partition_dir)) == 8
+    partition_loads = []
+    real_load = pickle.load
+
+    def counting_load(handle, *args, **kwargs):
+        if os.path.dirname(getattr(handle, "name", "")) == partition_dir:
+            partition_loads.append(handle.name)
+        return real_load(handle, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "load", counting_load)
+    warm_profiler = make()
+    warm = warm_profiler.profile(corpus, corpus)
+    stats = warm_profiler.last_run_stats
+    assert stats.executed_tasks == 0
+    assert stats.cache_hit_tasks == stats.total_tasks == 30
+    assert partition_loads == []
+    assert warm.quality == cold.quality
+    assert warm.processing == cold.processing
 
 
 # --------------------------------------------------------------------------- #
