@@ -8,7 +8,8 @@ Two halves:
   tear writes at the N-th hit; zero-overhead no-ops when unarmed.
 * :mod:`repro.faults.policy` — the :class:`FailurePolicy` threaded through
   scheduler and backends: retry budgets with exponential backoff, poison
-  quarantine, per-kind execution deadlines and worker heartbeat windows.
+  quarantine, per-kind execution deadlines and the queue's heartbeat
+  timeout.
 
 Core modules may import :mod:`repro.faults`; :mod:`repro.faults` imports
 only the standard library and :mod:`repro.obs`.

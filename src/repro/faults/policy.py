@@ -1,4 +1,4 @@
-"""Failure policy: retry budgets, backoff, quarantine, deadlines, heartbeats.
+"""Failure policy: retry budgets, backoff, quarantine, deadlines, liveness.
 
 The :class:`FailurePolicy` is the single knob set threaded through the
 scheduler and the executor backends.  Task failures (worker exceptions,

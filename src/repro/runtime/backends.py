@@ -784,6 +784,9 @@ def run_worker(queue_dir: str, poll_interval: float = 0.05,
     A fault plan shipped in the queue's ``config.pkl`` (or the
     ``REPRO_FAULTS`` environment) is armed before the first claim.
     """
+    if heartbeat_interval <= 0:
+        # A zero wait would spin the heartbeat thread on a whole core.
+        raise ValueError("heartbeat_interval must be > 0")
     config_path = os.path.join(queue_dir, _CONFIG_FILE)
     cache_dir = None
     config: Dict[str, Any] = {}

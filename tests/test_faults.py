@@ -587,6 +587,12 @@ class TestWorkerHeartbeats:
         assert sum(requeued) == 0
         assert self._listing(queue_dir, "claimed") == []
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0])
+    def test_heartbeat_interval_must_be_positive(self, interval, tmp_path):
+        with pytest.raises(ValueError, match="heartbeat_interval"):
+            run_worker(str(tmp_path), stop_when_idle=True,
+                       heartbeat_interval=interval)
+
     def test_sigterm_drains_gracefully(self, tmp_path):
         queue_dir = str(tmp_path / "queue")
         backend = WorkerPoolBackend(queue_dir, spawn_workers=0)
