@@ -249,6 +249,7 @@ class TestFailurePolicy:
         {"task_deadlines": {"quality": 0.0}},
         {"default_task_deadline": -2.0},
         {"heartbeat_timeout_seconds": 0.0},
+        {"backoff_max_seconds": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
