@@ -1,15 +1,9 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure of the runtime, serving, store and chaos scripts.
 
-Every benchmark module regenerates one table or figure of the paper's
-evaluation at laptop scale (the file names index the experiments).  The
-heavy, shared work — generating the training corpora, profiling them with all
-partitioners and workloads, and training EASE — is done once per benchmark
-session in :mod:`benchmarks.conftest` and cached on disk, so individual
-benchmarks only pay for their own evaluation step.
-
-Reported numbers are printed as plain-text tables (the "rows/series" of the
-paper) and also appended to ``benchmarks/results/`` so they can be inspected
-after the run.
+Memory measurement, text/JSON result tables under ``benchmarks/results/``
+and a pickle cache under ``benchmarks/_cache`` for trained models.  The
+paper's tables and figures are reproduced by ``reproduce.py``, which uses
+none of this.
 """
 
 from __future__ import annotations

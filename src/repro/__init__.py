@@ -15,11 +15,14 @@ Subpackages
     A distributed graph processing simulator (Pregel-style engine + cost
     model) and the graph algorithms of the evaluation.
 ``repro.ml``
-    From-scratch machine-learning library (regressors, preprocessing, model
-    selection, metrics).
+    From-scratch machine-learning library (the predictors' regressors,
+    preprocessing, metrics).  The model-family comparison's SVR, kNN, MLP
+    and model selection are imported by module path (``repro.ml.svr`` ...).
 ``repro.ease``
     The EASE system itself: feature extraction, profiling, the three
-    predictors and the automatic partitioner selector.
+    predictors and the automatic partitioner selector.  The Section IV-C
+    model-family comparison lives in ``repro.ease.training`` and is not
+    re-exported.
 """
 
 __version__ = "1.0.0"

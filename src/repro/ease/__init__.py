@@ -35,12 +35,6 @@ from .selector import (
     SelectionRequest,
     SelectionResult,
 )
-from .training import (
-    MODEL_FAMILIES,
-    ModelComparison,
-    compare_model_families,
-    default_param_grids,
-)
 from .evaluation import (
     JobOutcome,
     SelectionStrategyEvaluator,
@@ -85,10 +79,6 @@ __all__ = [
     "PartitionerSelector",
     "SelectionRequest",
     "SelectionResult",
-    "MODEL_FAMILIES",
-    "ModelComparison",
-    "compare_model_families",
-    "default_param_grids",
     "JobOutcome",
     "SelectionStrategyEvaluator",
     "StrategyComparison",

@@ -15,16 +15,15 @@ import numpy as np
 
 from ..ml import (
     GradientBoostingRegressor,
-    GridSearchCV,
-    KNeighborsRegressor,
-    MLPRegressor,
     PolynomialRegression,
     RandomForestRegressor,
     Regressor,
-    SupportVectorRegressor,
-    cross_val_score,
     mape,
 )
+from ..ml.knn import KNeighborsRegressor
+from ..ml.mlp import MLPRegressor
+from ..ml.model_selection import GridSearchCV, cross_val_score
+from ..ml.svr import SupportVectorRegressor
 
 __all__ = ["MODEL_FAMILIES", "default_param_grids", "ModelComparison",
            "compare_model_families"]

@@ -1,28 +1,22 @@
 """From-scratch machine-learning library used by the EASE predictors.
 
-Implements the six model families compared in the paper (polynomial
-regression, SVR, KNN, random forest, gradient boosting and an MLP), the
-preprocessing steps (z-score standardisation, one-hot encoding), the model
-selection protocol (K-fold cross-validation, grid search) and the evaluation
-metrics (RMSE, MAPE).
+The package exports the families the predictors train (polynomial and
+ridge regression, decision tree, random forest, gradient boosting), the
+preprocessing steps (z-score standardisation, one-hot encoding) and the
+evaluation metrics (RMSE, MAPE).  The other three families of the paper's
+Section IV-C comparison (``svr``, ``knn``, ``mlp``) and its protocol
+(``model_selection``: K-fold cross-validation, grid search) are imported by
+module path, only by :mod:`repro.ease.training`, its tests and
+``benchmarks/reproduce.py``, so serving and profiling never load them.
 """
 
 from .base import Regressor, clone
 from .metrics import mae, mape, r2_score, rmse
 from .preprocessing import OneHotEncoder, PolynomialFeatures, StandardScaler
 from .linear import LinearRegression, PolynomialRegression, RidgeRegression
-from .knn import KNeighborsRegressor
-from .svr import SupportVectorRegressor
 from .tree import DecisionTreeRegressor
 from .forest import RandomForestRegressor
 from .boosting import GradientBoostingRegressor
-from .mlp import MLPRegressor
-from .model_selection import (
-    GridSearchCV,
-    KFold,
-    cross_val_score,
-    train_test_split,
-)
 
 __all__ = [
     "Regressor",
@@ -37,14 +31,7 @@ __all__ = [
     "LinearRegression",
     "PolynomialRegression",
     "RidgeRegression",
-    "KNeighborsRegressor",
-    "SupportVectorRegressor",
     "DecisionTreeRegressor",
     "RandomForestRegressor",
     "GradientBoostingRegressor",
-    "MLPRegressor",
-    "GridSearchCV",
-    "KFold",
-    "cross_val_score",
-    "train_test_split",
 ]

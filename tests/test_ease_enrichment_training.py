@@ -8,8 +8,10 @@ from repro.ml import RandomForestRegressor
 from repro.ease import (
     EnrichmentStudy,
     GraphProfiler,
-    MODEL_FAMILIES,
     PartitioningQualityPredictor,
+)
+from repro.ease.training import (
+    MODEL_FAMILIES,
     compare_model_families,
     default_param_grids,
 )

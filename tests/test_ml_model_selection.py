@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ml import (
-    DecisionTreeRegressor,
+from repro.ml import DecisionTreeRegressor, LinearRegression, mape, rmse
+from repro.ml.knn import KNeighborsRegressor
+from repro.ml.model_selection import (
     GridSearchCV,
     KFold,
-    KNeighborsRegressor,
-    LinearRegression,
     cross_val_score,
     train_test_split,
-    mape,
-    rmse,
 )
 
 

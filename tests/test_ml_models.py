@@ -9,17 +9,17 @@ import pytest
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
-    KNeighborsRegressor,
     LinearRegression,
-    MLPRegressor,
     PolynomialRegression,
     RandomForestRegressor,
     RidgeRegression,
-    SupportVectorRegressor,
     clone,
     r2_score,
     rmse,
 )
+from repro.ml.knn import KNeighborsRegressor
+from repro.ml.mlp import MLPRegressor
+from repro.ml.svr import SupportVectorRegressor
 
 
 def _linear_data(num_samples=150, noise=0.05, seed=0):

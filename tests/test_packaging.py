@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -22,6 +23,22 @@ def test_setup_names_the_project_and_lists_every_package():
                  for path in (source / "repro").rglob("__init__.py")}
     assert set(find_packages(str(source))) == with_init
 
+
+def test_cli_import_loads_no_comparison_only_code():
+    # ``import repro.cli`` is the first import of ``repro serve`` and
+    # ``repro worker``; the model-family comparison (and through SVR, scipy)
+    # must stay out of it.
+    comparison_only = ("repro.ml.svr", "repro.ml.mlp", "repro.ml.knn",
+                       "repro.ml.model_selection", "repro.ease.training")
+    probe = ("import json, sys; import repro.cli; "
+             "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH="src")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=REPO_ROOT,
+                            env=env, capture_output=True, text=True,
+                            check=True)
+    loaded = json.loads(result.stdout)
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+    assert [name for name in comparison_only if name in loaded] == []
 
 
 def test_python_requires_is_the_oldest_ci_python():
