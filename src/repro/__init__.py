@@ -23,26 +23,20 @@ Subpackages
     predictors and the automatic partitioner selector.  The Section IV-C
     model-family comparison lives in ``repro.ease.training`` and is not
     re-exported.
+``repro.runtime``, ``repro.serving``
+    The offline profiling runtime (``repro profile`` / ``repro worker``) and
+    the online selection service (``repro serve``).
+
+Import graph
+------------
+This package re-exports nothing: import from the subpackage that owns a
+name.  ``repro.graph``, ``repro.partitioning``, ``repro.processing``,
+``repro.ease`` and ``repro.serving`` resolve their names on first access
+(:mod:`repro._lazy`), and the partitioner registry imports a partitioner's
+module when it first builds one.  Serving and prediction modules never
+import the profiling runtime, profiling or the generators, so a ``repro
+serve`` process loads only the modules that serving runs
+(``docs/ARCHITECTURE.md`` § Import graph).
 """
 
 __version__ = "1.0.0"
-
-from .graph import Graph, compute_properties
-from .partitioning import (
-    ALL_PARTITIONER_NAMES,
-    compute_quality_metrics,
-    create_partitioner,
-)
-from .ease import EASE, GraphProfiler, OptimizationGoal
-
-__all__ = [
-    "__version__",
-    "Graph",
-    "compute_properties",
-    "ALL_PARTITIONER_NAMES",
-    "compute_quality_metrics",
-    "create_partitioner",
-    "EASE",
-    "GraphProfiler",
-    "OptimizationGoal",
-]

@@ -88,27 +88,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .graph import (
-    Graph,
-    GraphStore,
-    GraphStoreError,
-    graph_fingerprint,
-    open_stored_graph,
-    read_edge_list,
-)
-from .generators import generate_training_corpus, rmat_small_grid
+# The parser's vocabularies only: each subcommand imports what it runs, so
+# ``serve`` loads no profiling runtime and ``worker`` no models.
 from .partitioning import ALL_PARTITIONER_NAMES
 from .processing import ALL_ALGORITHM_NAMES
-from .ease import EASE, GraphProfiler, OptimizationGoal, ProfileDataset
-from .ease.persistence import (
-    canonical_sorted,
-    load_dataset,
-    merge_datasets,
-    save_dataset,
-    save_ease,
-)
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 __all__ = ["main", "build_parser"]
 
@@ -118,6 +106,8 @@ __all__ = ["main", "build_parser"]
 # --------------------------------------------------------------------------- #
 def _load_graph(path: str) -> Graph:
     """A stored graph's directory (memory-mapped) or an edge-list file."""
+    from .graph import GraphStoreError, open_stored_graph, read_edge_list
+
     if not os.path.isdir(path):
         return read_edge_list(path)
     try:
@@ -128,6 +118,8 @@ def _load_graph(path: str) -> Graph:
 
 def _store_graphs(directory: str) -> List[Graph]:
     """Every graph of the store at ``directory``, memory-mapped."""
+    from .graph import GraphStore, GraphStoreError
+
     if not os.path.isdir(directory):
         raise SystemExit(f"graph store {directory!r} does not exist")
     try:
@@ -143,6 +135,9 @@ def _store_graphs(directory: str) -> List[Graph]:
 # Subcommands
 # --------------------------------------------------------------------------- #
 def _command_generate(args: argparse.Namespace) -> int:
+    from .generators import generate_training_corpus, rmat_small_grid
+    from .graph import GraphStore
+
     specs = rmat_small_grid(scale=args.scale)
     if args.step > 1:
         specs = specs[::args.step]
@@ -189,6 +184,14 @@ def _write_profile_stats(path: str, stats) -> None:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
+    from .ease import GraphProfiler, ProfileDataset
+    from .ease.persistence import (
+        canonical_sorted,
+        load_dataset,
+        merge_datasets,
+        save_dataset,
+    )
+
     if args.trace_dir:
         from .obs import configure_tracing
 
@@ -313,6 +316,8 @@ def _command_cache_gc(args: argparse.Namespace) -> int:
 
 
 def _command_graph_import(args: argparse.Namespace) -> int:
+    from .graph import GraphStore, graph_fingerprint
+
     store = GraphStore(args.store)
     imported = skipped = 0
     for path in args.inputs:
@@ -335,6 +340,8 @@ def _command_graph_import(args: argparse.Namespace) -> int:
 
 
 def _command_graph_ls(args: argparse.Namespace) -> int:
+    from .graph import GraphStore
+
     if not os.path.isdir(args.store):
         raise SystemExit(f"graph store {args.store!r} does not exist")
     store = GraphStore(args.store)
@@ -385,6 +392,9 @@ def _command_properties(args: argparse.Namespace) -> int:
 
 
 def _command_train(args: argparse.Namespace) -> int:
+    from .ease import EASE
+    from .ease.persistence import load_dataset, save_ease
+
     dataset = load_dataset(args.profile)
     system = EASE(feature_set=args.feature_set,
                   replication_feature_set=args.replication_feature_set)
@@ -609,6 +619,7 @@ def _command_trace_show(args: argparse.Namespace) -> int:
 
 
 def _command_models_publish(args: argparse.Namespace) -> int:
+    from .ease.persistence import load_dataset
     from .serving import ModelRegistry
 
     registry = ModelRegistry(args.registry)
@@ -852,9 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--algorithm", required=True,
                         choices=list(ALL_ALGORITHM_NAMES) + ["label_propagation"])
     select.add_argument("--partitions", type=int, default=4)
-    select.add_argument("--goal", default=OptimizationGoal.END_TO_END,
-                        choices=[OptimizationGoal.END_TO_END,
-                                 OptimizationGoal.PROCESSING])
+    # OptimizationGoal's two values, spelled out so that parsing loads no
+    # selector; the service validates the goal again.
+    select.add_argument("--goal", default="end_to_end",
+                        choices=["end_to_end", "processing"])
     select.add_argument("--iterations", type=int, default=None,
                         help="number of iterations for fixed-iteration "
                              "algorithms")

@@ -12,14 +12,13 @@ This is the public entry point most users need:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from ..graph import Graph, GraphProperties
 from ..partitioning import ALL_PARTITIONER_NAMES
 from .dataset import ProfileDataset
 from .partitioning_time_predictor import PartitioningTimePredictor
 from .processing_time_predictor import ProcessingTimePredictor
-from .profiling import GraphProfiler
 from .quality_predictor import PartitioningQualityPredictor
 from .selector import (
     OptimizationGoal,
@@ -27,6 +26,9 @@ from .selector import (
     SelectionRequest,
     SelectionResult,
 )
+
+if TYPE_CHECKING:
+    from .profiling import GraphProfiler
 
 __all__ = ["EASE"]
 
@@ -105,6 +107,10 @@ class EASE:
         identical to a sequential run).  ``checkpoint_path`` enables
         task-level checkpoint/resume of the profiling phase.
         """
+        # Imported here: serving loads this module, and must not load the
+        # profiling runtime.
+        from .profiling import GraphProfiler
+
         profiler = profiler or GraphProfiler()
         system = cls(**kwargs)
         dataset = profiler.profile(quality_graphs, processing_graphs,

@@ -10,20 +10,10 @@ processing-time model (Section IV-E).
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Dict, List, Sequence, Tuple, Type
 
 from .base import EdgePartitioner
-from .hashing import (
-    OneDimDestinationPartitioner,
-    OneDimSourcePartitioner,
-    TwoDimPartitioner,
-    CanonicalRandomVertexCutPartitioner,
-)
-from .dbh import DegreeBasedHashingPartitioner
-from .hdrf import HDRFPartitioner
-from .two_ps import TwoPhaseStreamingPartitioner
-from .ne import NeighborhoodExpansionPartitioner
-from .hep import HybridEdgePartitioner
 
 __all__ = [
     "ALL_PARTITIONER_NAMES",
@@ -31,19 +21,21 @@ __all__ = [
     "create_all_partitioners",
 ]
 
-#: Class and fixed constructor arguments per partitioner name.
-_PARTITIONERS: Dict[str, Tuple[Type[EdgePartitioner], Dict[str, Any]]] = {
-    "1dd": (OneDimDestinationPartitioner, {}),
-    "1ds": (OneDimSourcePartitioner, {}),
-    "2d": (TwoDimPartitioner, {}),
-    "crvc": (CanonicalRandomVertexCutPartitioner, {}),
-    "dbh": (DegreeBasedHashingPartitioner, {}),
-    "hdrf": (HDRFPartitioner, {}),
-    "2ps": (TwoPhaseStreamingPartitioner, {}),
-    "ne": (NeighborhoodExpansionPartitioner, {}),
-    "hep1": (HybridEdgePartitioner, {"tau": 1.0}),
-    "hep10": (HybridEdgePartitioner, {"tau": 10.0}),
-    "hep100": (HybridEdgePartitioner, {"tau": 100.0}),
+#: Module, class and fixed constructor arguments per partitioner name.  The
+#: module is imported when :func:`create_partitioner` first builds one of
+#: its partitioners, so reading the names loads no partitioner.
+_PARTITIONERS: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+    "1dd": (".hashing", "OneDimDestinationPartitioner", {}),
+    "1ds": (".hashing", "OneDimSourcePartitioner", {}),
+    "2d": (".hashing", "TwoDimPartitioner", {}),
+    "crvc": (".hashing", "CanonicalRandomVertexCutPartitioner", {}),
+    "dbh": (".dbh", "DegreeBasedHashingPartitioner", {}),
+    "hdrf": (".hdrf", "HDRFPartitioner", {}),
+    "2ps": (".two_ps", "TwoPhaseStreamingPartitioner", {}),
+    "ne": (".ne", "NeighborhoodExpansionPartitioner", {}),
+    "hep1": (".hep", "HybridEdgePartitioner", {"tau": 1.0}),
+    "hep10": (".hep", "HybridEdgePartitioner", {"tau": 10.0}),
+    "hep100": (".hep", "HybridEdgePartitioner", {"tau": 100.0}),
 }
 
 #: The eleven partitioner names in the order used by the paper's figures.
@@ -62,11 +54,13 @@ def create_partitioner(name: str, seed: int = 0,
     HEP); a keyword the constructor does not take raises ``TypeError``.
     """
     try:
-        cls, fixed = _PARTITIONERS[name]
+        module, class_name, fixed = _PARTITIONERS[name]
     except KeyError as error:
         raise ValueError(
             f"unknown partitioner {name!r}; known partitioners: "
             f"{sorted(_PARTITIONERS)}") from error
+    cls: Type[EdgePartitioner] = getattr(
+        importlib.import_module(module, __package__), class_name)
     return cls(seed=seed, **fixed, **overrides)
 
 

@@ -1,43 +1,31 @@
 """Distributed graph processing simulator: cluster model, cost model,
-vertex-centric engine and workloads."""
+vertex-centric engine and workloads.
 
-from .cluster import ClusterSpec
-from .cost_model import PartitionedGraphCostModel
-from .engine import ProcessingEngine
-from .result import ProcessingResult, SuperstepCost
-from .algorithms import (
-    ALGORITHM_FACTORIES,
-    ALL_ALGORITHM_NAMES,
-    ConnectedComponents,
-    KCores,
-    LabelPropagation,
-    PageRank,
-    SingleSourceShortestPaths,
-    SuperstepOutcome,
-    SyntheticHigh,
-    SyntheticLow,
-    SyntheticWorkload,
-    VertexCentricAlgorithm,
-    create_algorithm,
-)
+Names resolve on first access (:mod:`repro._lazy`): reading
+``ALL_ALGORITHM_NAMES`` loads the workloads, not the engine and its cost
+model.
+"""
 
-__all__ = [
-    "ClusterSpec",
-    "PartitionedGraphCostModel",
-    "ProcessingEngine",
-    "ProcessingResult",
-    "SuperstepCost",
-    "ALGORITHM_FACTORIES",
-    "ALL_ALGORITHM_NAMES",
-    "ConnectedComponents",
-    "KCores",
-    "LabelPropagation",
-    "PageRank",
-    "SingleSourceShortestPaths",
-    "SuperstepOutcome",
-    "SyntheticHigh",
-    "SyntheticLow",
-    "SyntheticWorkload",
-    "VertexCentricAlgorithm",
-    "create_algorithm",
-]
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cluster": ("ClusterSpec",),
+    ".cost_model": ("PartitionedGraphCostModel",),
+    ".engine": ("ProcessingEngine",),
+    ".result": ("ProcessingResult", "SuperstepCost"),
+    ".algorithms": (
+        "ALGORITHM_FACTORIES",
+        "ALL_ALGORITHM_NAMES",
+        "ConnectedComponents",
+        "KCores",
+        "LabelPropagation",
+        "PageRank",
+        "SingleSourceShortestPaths",
+        "SuperstepOutcome",
+        "SyntheticHigh",
+        "SyntheticLow",
+        "SyntheticWorkload",
+        "VertexCentricAlgorithm",
+        "create_algorithm",
+    ),
+})

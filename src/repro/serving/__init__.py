@@ -23,37 +23,25 @@ bottom):
 plus :mod:`repro.serving.registry` (content-hashed, versioned model bundles
 on disk with tags and training provenance) and
 :mod:`repro.serving.client` (a thin retrying client for the HTTP frontend).
+
+Names resolve on first access (:mod:`repro._lazy`), so ``from repro.serving
+import SelectionClient`` loads the client and not the service.
 """
 
-from .registry import ModelRegistry, ModelVersion, dataset_fingerprint
-from .service import (
-    AdmissionGate,
-    CircuitBreaker,
-    GraphResolver,
-    SelectionService,
-    ServiceStats,
-)
-from .router import ModelRouter, parse_model_spec
-from .core import BadRequest, RequestCore, Response
-from .http import SelectionHTTPServer
-from .frontend import PreforkFrontend
-from .client import SelectionClient
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionGate",
-    "BadRequest",
-    "CircuitBreaker",
-    "GraphResolver",
-    "ModelRegistry",
-    "ModelRouter",
-    "ModelVersion",
-    "PreforkFrontend",
-    "RequestCore",
-    "Response",
-    "SelectionClient",
-    "SelectionHTTPServer",
-    "SelectionService",
-    "ServiceStats",
-    "dataset_fingerprint",
-    "parse_model_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".registry": ("ModelRegistry", "ModelVersion", "dataset_fingerprint"),
+    ".service": (
+        "AdmissionGate",
+        "CircuitBreaker",
+        "GraphResolver",
+        "SelectionService",
+        "ServiceStats",
+    ),
+    ".router": ("ModelRouter", "parse_model_spec"),
+    ".core": ("BadRequest", "RequestCore", "Response"),
+    ".http": ("SelectionHTTPServer",),
+    ".frontend": ("PreforkFrontend",),
+    ".client": ("SelectionClient",),
+})

@@ -42,6 +42,7 @@ from ..graph import (
     GraphProperties,
     GraphStore,
     GraphStoreError,
+    graph_fingerprint,
 )
 from ..ease.pipeline import EASE
 from ..ease.selector import (
@@ -50,7 +51,6 @@ from ..ease.selector import (
     SelectionResult,
     request_properties,
 )
-from ..runtime.jobs import graph_fingerprint
 from .registry import ModelRegistry, ModelVersion
 
 __all__ = ["AdmissionGate", "CircuitBreaker", "GraphResolver",

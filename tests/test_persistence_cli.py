@@ -6,7 +6,7 @@ import pytest
 from repro.generators import generate_rmat
 from repro.graph import GraphStore, write_edge_list
 from repro.partitioning import ALL_PARTITIONER_NAMES
-from repro.ease import EASE, GraphProfiler, ProfileDataset
+from repro.ease import EASE, GraphProfiler, OptimizationGoal, ProfileDataset
 from repro.ease.persistence import (
     load_dataset,
     load_ease,
@@ -92,6 +92,19 @@ class TestCLI:
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_select_goal_choices_are_the_optimisation_goals(self):
+        # The parser spells the goals out so that parsing loads no selector.
+        parser = build_parser()
+        for goal in OptimizationGoal._ALL:
+            args = parser.parse_args(["select", "--algorithm", "pagerank",
+                                      "--goal", goal])
+            assert args.goal == goal
+        with pytest.raises(SystemExit):
+            parser.parse_args(["select", "--algorithm", "pagerank",
+                               "--goal", "fastest"])
+        assert parser.parse_args(["select", "--algorithm", "pagerank"]).goal \
+            == OptimizationGoal.END_TO_END
 
     def test_generate_command(self, tmp_path):
         output = str(tmp_path / "graphs")
